@@ -551,64 +551,3 @@ func BenchmarkCSRHotPath(b *testing.B) {
 		})
 	}
 }
-
-// portfolioBenchGraph builds the message-bound portfolio profile: a dense
-// random graph at n=96 (p=0.15, ~9x the connectivity threshold) where
-// traffic, not diameter, dominates. Exactly the same profile (class, size,
-// density, weights, seeds) is run by `mwcbench -portfolio -json`, which
-// produced the committed bench/portfolio_baseline.json; the rounds/op
-// figures are deterministic, so scripts/benchgate.go gates them exactly.
-func portfolioBenchGraph(b *testing.B, class Class, maxW int64) *Graph {
-	b.Helper()
-	r := gen.Random{
-		N: 96, P: 0.15, Seed: 7, MaxW: maxW,
-		Directed: class == Directed || class == DirectedWeighted,
-		Weighted: class == UndirectedWeighted || class == DirectedWeighted,
-	}
-	inner, err := r.Graph()
-	if err != nil {
-		b.Fatal(err)
-	}
-	edges := make([]Edge, 0, inner.M())
-	for _, e := range inner.Edges() {
-		edges = append(edges, Edge{From: e.From, To: e.To, Weight: e.Weight})
-	}
-	g, err := NewGraph(96, edges, class)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkPortfolio runs every registered portfolio algorithm on the
-// message-bound profile — one sub-benchmark per algorithm, matching the
-// case names of bench/portfolio_baseline.json. The seed is fixed, so
-// rounds/op and messages/op are bit-deterministic run to run.
-func BenchmarkPortfolio(b *testing.B) {
-	for _, a := range Portfolio() {
-		a := a
-		class, maxW := UndirectedWeighted, int64(16)
-		if a.Name == AlgoNameGirthApx {
-			// The girth approximation's stretched phase is pseudo-polynomial
-			// in the weights; its message-bound profile is the unweighted one.
-			class, maxW = Undirected, 1
-		}
-		g := portfolioBenchGraph(b, class, maxW)
-		b.Run(a.Name, func(b *testing.B) {
-			totalRounds, totalMsgs := 0, 0
-			for i := 0; i < b.N; i++ {
-				res, err := RunAlgorithm(a.Name, g, Options{Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Found {
-					b.Fatalf("%s found no cycle on the dense profile", a.Name)
-				}
-				totalRounds += res.Rounds
-				totalMsgs += res.Messages
-			}
-			b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds/op")
-			b.ReportMetric(float64(totalMsgs)/float64(b.N), "messages/op")
-		})
-	}
-}

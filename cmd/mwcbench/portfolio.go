@@ -1,13 +1,13 @@
 package main
 
-// The portfolio profile: one case per registered algorithm on a
-// message-bound instance (dense random graph, n=96, p=0.15), emitted in the
-// bench/ baseline JSON schema. The committed bench/portfolio_baseline.json
-// is this command's output; the root BenchmarkPortfolio go-test benchmark
-// runs the identical profile (same class, size, density, weights and
-// seeds), so its rounds/op and messages/op figures are bit-identical to the
-// baseline and scripts/benchgate.go gates them exactly, while ns_per_op is
-// gated with a wall-clock tolerance.
+// The portfolio profile (check.PortfolioProfile): one case per registered
+// algorithm on a message-bound instance (dense random graph, n=96, p=0.15),
+// emitted in the bench/ baseline JSON schema. The committed
+// bench/portfolio_baseline.json is this command's output; the root
+// BenchmarkPortfolio go-test benchmark runs the same profile definition, so
+// its rounds/op and messages/op figures are bit-identical to the baseline
+// and scripts/benchgate.go gates them exactly, while ns_per_op is gated
+// with a wall-clock tolerance.
 
 import (
 	"encoding/json"
@@ -18,26 +18,8 @@ import (
 	"time"
 
 	"congestmwc"
-	"congestmwc/internal/gen"
+	"congestmwc/internal/check"
 )
-
-// portfolioGraph mirrors portfolioBenchGraph in the root bench_test.go.
-func portfolioGraph(class congestmwc.Class, maxW int64) (*congestmwc.Graph, error) {
-	r := gen.Random{
-		N: 96, P: 0.15, Seed: 7, MaxW: maxW,
-		Directed: class == congestmwc.Directed || class == congestmwc.DirectedWeighted,
-		Weighted: class == congestmwc.UndirectedWeighted || class == congestmwc.DirectedWeighted,
-	}
-	inner, err := r.Graph()
-	if err != nil {
-		return nil, err
-	}
-	edges := make([]congestmwc.Edge, 0, inner.M())
-	for _, e := range inner.Edges() {
-		edges = append(edges, congestmwc.Edge{From: e.From, To: e.To, Weight: e.Weight})
-	}
-	return congestmwc.NewGraph(96, edges, class)
-}
 
 // writePortfolioJSON runs every registered portfolio algorithm on the
 // message-bound profile and emits the bench/ baseline schema.
@@ -56,36 +38,28 @@ func writePortfolioJSON(w *os.File, args []string, reps int) error {
 			Command:   "mwcbench " + strings.Join(args, " "),
 		},
 	}
-	for _, a := range congestmwc.Portfolio() {
-		class, maxW := congestmwc.UndirectedWeighted, int64(16)
-		workload := "dense random undirected-weighted, n=96, p=0.15, maxW=16, fixed seeds"
-		if a.Name == congestmwc.AlgoNameGirthApx {
-			// The girth approximation's stretched phase is pseudo-polynomial
-			// in the weights; its message-bound profile is the unweighted one.
-			class, maxW = congestmwc.Undirected, 1
-			workload = "dense random undirected unweighted, n=96, p=0.15, fixed seeds"
-		}
-		g, err := portfolioGraph(class, maxW)
-		if err != nil {
-			return fmt.Errorf("portfolio %s: %w", a.Name, err)
-		}
+	cases, err := check.PortfolioProfile()
+	if err != nil {
+		return err
+	}
+	for _, tc := range cases {
 		var rounds, msgs float64
 		start := time.Now()
 		for r := 0; r < reps; r++ {
-			res, err := congestmwc.RunAlgorithm(a.Name, g, congestmwc.Options{Seed: 1})
+			res, err := congestmwc.RunAlgorithm(tc.Name, tc.Graph, tc.Opts)
 			if err != nil {
-				return fmt.Errorf("portfolio %s: %w", a.Name, err)
+				return fmt.Errorf("portfolio %s: %w", tc.Name, err)
 			}
 			if !res.Found {
-				return fmt.Errorf("portfolio %s: no cycle found on the dense profile", a.Name)
+				return fmt.Errorf("portfolio %s: no cycle found on the dense profile", tc.Name)
 			}
 			rounds += float64(res.Rounds)
 			msgs += float64(res.Messages)
 		}
 		elapsed := time.Since(start)
 		rep.Cases = append(rep.Cases, benchCase{
-			Name:          a.Name,
-			Workload:      workload,
+			Name:          tc.Name,
+			Workload:      tc.Workload,
 			RoundsPerOp:   rounds / float64(reps),
 			MessagesPerOp: msgs / float64(reps),
 			NsPerOp:       float64(elapsed.Nanoseconds()) / float64(reps),

@@ -57,11 +57,11 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"congestmwc/internal/jobs"
+	"congestmwc/internal/obs"
 	"congestmwc/internal/session"
 	"congestmwc/internal/store"
 )
@@ -83,59 +83,6 @@ func newLogger(format string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
 	}
-}
-
-// statusWriter records the response status and size for the access log
-// while passing streaming (http.Flusher) through — the SSE events endpoint
-// must still be able to flush frame by frame.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += int64(n)
-	return n, err
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer.
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
-// accessLog wraps the API handler with per-request structured logging:
-// monotonic request IDs (echoed as X-Request-Id), method, path, status,
-// response bytes and latency. Long-lived streams log once, on completion,
-// with their full duration.
-func accessLog(logger *slog.Logger, next http.Handler) http.Handler {
-	var nextID atomic.Uint64
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("r-%08d", nextID.Add(1))
-		w.Header().Set("X-Request-Id", id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Int64("bytes", sw.bytes),
-			slog.Duration("latency", time.Since(start)),
-			slog.String("remote", r.RemoteAddr),
-		)
-	})
 }
 
 // startPprof serves net/http/pprof on its own listener, refusing anything
@@ -287,7 +234,7 @@ func run(args []string) error {
 	mux.Handle("/", jobsAPI)
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           accessLog(logger, mux),
+		Handler:           obs.AccessLog(logger, mux),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -1,8 +1,8 @@
 // Command mwcfuzz runs timed differential-fuzzing soaks over the
 // internal/check oracle harness: it generates random instances of every
 // graph class (round-robin, so slow classes cannot starve the others),
-// runs the full algorithm portfolio (approximation, both exact engines and
-// the girth approximation where it applies) against the sequential
+// runs the algorithm portfolio (-algos, default every registered
+// algorithm, each on the instances in its range) against the sequential
 // reference, and evaluates the full oracle registry on each outcome.
 //
 // On a violation the offending instance is delta-debugged down to a small
@@ -18,6 +18,7 @@
 //
 //	mwcfuzz -duration 60s
 //	mwcfuzz -duration 10m -classes uw,dw -maxn 32 -seed 7
+//	mwcfuzz -duration 5m -algos approx,exact
 //	mwcfuzz -duration 0 -corpus testdata/corpus   # replay-only
 package main
 
@@ -50,9 +51,7 @@ type config struct {
 	maxN     int
 	corpus   string
 	failDir  string
-	exact    bool
-	agarwal  bool
-	girthapx bool
+	algos    []string
 	parallel bool
 	cancel   bool
 	session  bool
@@ -76,22 +75,8 @@ type failureRecord struct {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("mwcfuzz", flag.ContinueOnError)
-	cfg := config{}
-	fs.DurationVar(&cfg.duration, "duration", time.Minute, "soak length (0 = corpus replay only)")
-	fs.Int64Var(&cfg.seed, "seed", 0, "master seed (0 = derive from wall clock)")
-	fs.StringVar(&cfg.classes, "classes", "ud,d,uw,dw", "comma-separated class tokens to fuzz")
-	fs.IntVar(&cfg.maxN, "maxn", 28, "maximum instance size")
-	fs.StringVar(&cfg.corpus, "corpus", "testdata/corpus", "seed-corpus directory replayed before the soak")
-	fs.StringVar(&cfg.failDir, "faildir", "mwcfuzz-failures", "directory for minimized reproducers and the failures.jsonl log")
-	fs.BoolVar(&cfg.exact, "exact", true, "also run the exact baseline on every instance")
-	fs.BoolVar(&cfg.agarwal, "agarwal", true, "also run the batched exact algorithm (agarwal) on every instance")
-	fs.BoolVar(&cfg.girthapx, "girthapx", true, "also run the girth approximation on every in-range undirected instance")
-	fs.BoolVar(&cfg.parallel, "parallel", true, "also run the parallel engine and check agreement")
-	fs.BoolVar(&cfg.cancel, "cancel", true, "probe Init-phase cancellation on every instance")
-	fs.BoolVar(&cfg.session, "session", true, "interleave dynamic-session PATCH-vs-rebuild differential traces into the soak")
-	fs.BoolVar(&cfg.verbose, "v", false, "log every instance, not just violations")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
 	classes, err := parseClasses(cfg.classes)
@@ -101,8 +86,8 @@ func run(args []string) error {
 	if cfg.seed == 0 {
 		cfg.seed = time.Now().UnixNano()
 	}
-	fmt.Printf("mwcfuzz: seed=%d classes=%s maxn=%d duration=%s\n",
-		cfg.seed, cfg.classes, cfg.maxN, cfg.duration)
+	fmt.Printf("mwcfuzz: seed=%d classes=%s algos=%s maxn=%d duration=%s\n",
+		cfg.seed, cfg.classes, strings.Join(cfg.algos, ","), cfg.maxN, cfg.duration)
 
 	f := &fuzzer{cfg: cfg, rng: rand.New(rand.NewSource(cfg.seed))}
 	if err := f.replayCorpus(); err != nil {
@@ -116,6 +101,40 @@ func run(args []string) error {
 		os.Exit(1)
 	}
 	return nil
+}
+
+// parseFlags parses the command line into a config.
+func parseFlags(args []string) (config, error) {
+	fs := flag.NewFlagSet("mwcfuzz", flag.ContinueOnError)
+	cfg := config{}
+	algos := strings.Join(congestmwc.AlgorithmNames(), ",")
+	fs.DurationVar(&cfg.duration, "duration", time.Minute, "soak length (0 = corpus replay only)")
+	fs.Int64Var(&cfg.seed, "seed", 0, "master seed (0 = derive from wall clock)")
+	fs.StringVar(&cfg.classes, "classes", "ud,d,uw,dw", "comma-separated class tokens to fuzz")
+	fs.IntVar(&cfg.maxN, "maxn", 28, "maximum instance size")
+	fs.StringVar(&cfg.corpus, "corpus", "testdata/corpus", "seed-corpus directory replayed before the soak")
+	fs.StringVar(&cfg.failDir, "faildir", "mwcfuzz-failures", "directory for minimized reproducers and the failures.jsonl log")
+	fs.StringVar(&algos, "algos", algos, "comma-separated portfolio algorithms to run, each on the instances in its range")
+	fs.BoolVar(&cfg.parallel, "parallel", true, "also run the approximation on the parallel engine and check agreement")
+	fs.BoolVar(&cfg.cancel, "cancel", true, "probe the approximation's Init-phase cancellation on every instance")
+	fs.BoolVar(&cfg.session, "session", true, "interleave dynamic-session PATCH-vs-rebuild differential traces into the soak")
+	fs.BoolVar(&cfg.verbose, "v", false, "log every instance, not just violations")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	for _, name := range strings.Split(algos, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		if _, ok := congestmwc.AlgorithmByName(name); !ok {
+			return cfg, fmt.Errorf("-algos: unknown algorithm %q (registered: %v)", name, congestmwc.AlgorithmNames())
+		}
+		cfg.algos = append(cfg.algos, name)
+	}
+	if len(cfg.algos) == 0 {
+		return cfg, fmt.Errorf("-algos: no algorithm selected")
+	}
+	return cfg, nil
 }
 
 func parseClasses(s string) ([]congestmwc.Class, error) {
@@ -148,9 +167,7 @@ type fuzzer struct {
 func (f *fuzzer) opts(seed int64) check.RunOptions {
 	return check.RunOptions{
 		Seed:     seed,
-		Exact:    f.cfg.exact,
-		Agarwal:  f.cfg.agarwal,
-		GirthApx: f.cfg.girthapx,
+		Algos:    f.cfg.algos,
 		Parallel: f.cfg.parallel,
 		Cancel:   f.cfg.cancel,
 	}

@@ -37,11 +37,11 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"congestmwc/internal/cluster"
+	"congestmwc/internal/obs"
 )
 
 func main() {
@@ -120,58 +120,6 @@ func newLogger(format string) (*slog.Logger, error) {
 	}
 }
 
-// statusWriter records the response status and size for the access log
-// while passing streaming (http.Flusher) through — proxied SSE streams
-// must still flush frame by frame.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += int64(n)
-	return n, err
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer.
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
-// accessLog wraps the router handler with per-request structured logging,
-// mirroring mwcd's: request IDs (X-Request-Id), method, path, status,
-// bytes, latency. Long-lived streams log once, on completion.
-func accessLog(logger *slog.Logger, next http.Handler) http.Handler {
-	var nextID atomic.Uint64
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("r-%08d", nextID.Add(1))
-		w.Header().Set("X-Request-Id", id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Int64("bytes", sw.bytes),
-			slog.Duration("latency", time.Since(start)),
-			slog.String("remote", r.RemoteAddr),
-		)
-	})
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("mwcrouter", flag.ContinueOnError)
 	var workers workerFlags
@@ -222,7 +170,7 @@ func run(args []string) error {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           accessLog(logger, r.Handler()),
+		Handler:           obs.AccessLog(logger, r.Handler()),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -30,27 +30,22 @@ import (
 	"time"
 
 	"congestmwc"
-	"congestmwc/internal/agarwal"
+	"congestmwc/internal/check"
 	"congestmwc/internal/congest"
-	"congestmwc/internal/dirmwc"
-	"congestmwc/internal/girthapx"
 	"congestmwc/internal/dot"
-	"congestmwc/internal/exact"
 	"congestmwc/internal/gen"
-	"congestmwc/internal/girth"
 	"congestmwc/internal/graph"
 	"congestmwc/internal/graphio"
 	"congestmwc/internal/ksssp"
 	"congestmwc/internal/obs"
 	"congestmwc/internal/seq"
-	"congestmwc/internal/wmwc"
 )
 
 // Exit codes: 0 success, 1 error, 2 run aborted by -deadline or a signal.
 const exitAborted = 2
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mwcrun:", err)
 		if errors.Is(err, congest.ErrCanceled) {
 			os.Exit(exitAborted)
@@ -89,7 +84,8 @@ type config struct {
 	deadline time.Duration
 }
 
-func run(args []string) error {
+// run executes one mwcrun invocation, writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mwcrun", flag.ContinueOnError)
 	cfg := config{}
 	fs.StringVar(&cfg.graphFile, "graph", "", "graph file (graphio format); overrides -gen")
@@ -100,7 +96,7 @@ func run(args []string) error {
 	fs.Int64Var(&cfg.maxW, "maxw", 16, "maximum edge weight for weighted classes")
 	fs.IntVar(&cfg.cycleLen, "cyclelen", 5, "planted cycle length")
 	fs.Int64Var(&cfg.cycleW, "cyclew", 0, "planted cycle weight (0 = cyclelen*maxw/2)")
-	fs.StringVar(&cfg.algo, "algo", "approx", "algorithm: approx | exact | agarwal | girthapx | ksssp")
+	fs.StringVar(&cfg.algo, "algo", congestmwc.AlgoNameApprox, "algorithm: "+strings.Join(congestmwc.AlgorithmNames(), " | ")+" | ksssp")
 	fs.StringVar(&cfg.guarantee, "guarantee", "", "let the planner pick the algorithm for this guarantee (exact | girth | 2 | 2+eps | a ratio >= 1); mutually exclusive with -algo")
 	fs.IntVar(&cfg.k, "k", 0, "number of sources for ksssp (0 = ceil(sqrt(n)))")
 	fs.Float64Var(&cfg.eps, "eps", 0.25, "accuracy for weighted approximations")
@@ -121,11 +117,19 @@ func run(args []string) error {
 		return err
 	}
 
-	g, err := buildGraph(cfg)
+	g, err := buildGraph(cfg, stdout)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph: n=%d m=%d directed=%v weighted=%v\n", g.N(), g.M(), g.Directed(), g.Weighted())
+	fmt.Fprintf(stdout, "graph: n=%d m=%d directed=%v weighted=%v\n", g.N(), g.M(), g.Directed(), g.Weighted())
+	fg, err := check.FromInternal(g, "").Graph()
+	if err != nil {
+		return err
+	}
+	opts := congestmwc.Options{
+		Seed: cfg.seed, Bandwidth: cfg.bandwidth, Parallel: cfg.parallel,
+		Stepwise: cfg.stepwise, Eps: cfg.eps,
+	}
 
 	if cfg.guarantee != "" {
 		algoSet := false
@@ -137,23 +141,15 @@ func run(args []string) error {
 		if algoSet {
 			return fmt.Errorf("-algo and -guarantee are mutually exclusive: name one")
 		}
-		dec, err := congestmwc.PlanFeatures(featuresOf(g), congestmwc.Guarantee(cfg.guarantee),
-			congestmwc.Options{Eps: cfg.eps})
+		dec, err := congestmwc.Plan(fg, congestmwc.Guarantee(cfg.guarantee), opts)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("planner: %s (ratio %.3g, est %.0f rounds) — %s\n",
+		fmt.Fprintf(stdout, "planner: %s (ratio %.3g, est %.0f rounds) — %s\n",
 			dec.Algorithm, dec.Ratio, dec.EstRounds, dec.Reason)
 		cfg.algo = dec.Algorithm
 	}
 
-	net, err := congest.NewNetwork(g, congest.Options{
-		Seed: cfg.seed, Bandwidth: cfg.bandwidth, Parallel: cfg.parallel,
-		Stepwise: cfg.stepwise,
-	})
-	if err != nil {
-		return err
-	}
 	// Run under a context so SIGINT/SIGTERM (and -deadline, when set) abort
 	// the simulation within one executed round instead of killing the
 	// process mid-run; main maps the abort to exit code 2.
@@ -164,11 +160,10 @@ func run(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
 		defer cancel()
 	}
-	net.SetContext(ctx)
 	// Assemble the observer stack the flags ask for.
 	var observers congest.Multi
 	if cfg.traceMsgs > 0 {
-		observers = append(observers, &congest.TraceWriter{W: os.Stdout, MaxMessages: cfg.traceMsgs})
+		observers = append(observers, &congest.TraceWriter{W: stdout, MaxMessages: cfg.traceMsgs})
 	}
 	var col *obs.Collector
 	if cfg.metricsFile != "" || cfg.phases {
@@ -189,12 +184,13 @@ func run(args []string) error {
 		traceJSON = &obs.JSONL{W: traceBuf}
 		observers = append(observers, traceJSON)
 	}
+	var observer congest.Observer
 	switch len(observers) {
 	case 0:
 	case 1:
-		net.SetObserver(observers[0])
+		observer = observers[0]
 	default:
-		net.SetObserver(observers)
+		observer = observers
 	}
 	if cfg.cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(cfg.cpuProfile)
@@ -204,28 +200,19 @@ func run(args []string) error {
 		defer stop()
 	}
 
-	switch cfg.algo {
-	case "approx":
-		err = runApprox(cfg, g, net)
-	case "exact":
-		err = runExact(cfg, g, net)
-	case "agarwal":
-		err = runAgarwal(cfg, g, net)
-	case "girthapx":
-		err = runGirthApx(cfg, g, net)
-	case "ksssp":
-		err = runKSSSP(cfg, g, net)
-	default:
-		err = fmt.Errorf("unknown algorithm %q", cfg.algo)
+	if cfg.algo == "ksssp" {
+		err = runKSSSP(ctx, cfg, g, observer, stdout)
+	} else {
+		err = runPortfolio(ctx, cfg, g, fg, opts.WithObserver(observer), stdout)
 	}
 	if err != nil {
 		return err
 	}
-	return writeObs(cfg, col, traceJSON, traceBuf, traceOut)
+	return writeObs(cfg, col, traceJSON, traceBuf, traceOut, stdout)
 }
 
 // writeObs emits the observability outputs after a successful run.
-func writeObs(cfg config, col *obs.Collector, traceJSON *obs.JSONL, traceBuf *bufio.Writer, traceOut *os.File) error {
+func writeObs(cfg config, col *obs.Collector, traceJSON *obs.JSONL, traceBuf *bufio.Writer, traceOut *os.File, stdout io.Writer) error {
 	if traceJSON != nil {
 		if err := traceJSON.Err(); err != nil {
 			return fmt.Errorf("trace: %w", err)
@@ -236,18 +223,18 @@ func writeObs(cfg config, col *obs.Collector, traceJSON *obs.JSONL, traceBuf *bu
 		if err := traceOut.Close(); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Printf("wrote event trace to %s\n", cfg.traceFile)
+		fmt.Fprintf(stdout, "wrote event trace to %s\n", cfg.traceFile)
 	}
 	if col == nil {
 		return nil
 	}
 	sum := col.Summary()
 	if cfg.phases {
-		fmt.Println()
-		obs.WritePhaseTable(os.Stdout, sum.Phases)
+		fmt.Fprintln(stdout)
+		obs.WritePhaseTable(stdout, sum.Phases)
 	}
 	if cfg.metricsFile != "" {
-		var w io.Writer = os.Stdout
+		w := stdout
 		if cfg.metricsFile != "-" {
 			f, err := os.Create(cfg.metricsFile)
 			if err != nil {
@@ -260,13 +247,13 @@ func writeObs(cfg config, col *obs.Collector, traceJSON *obs.JSONL, traceBuf *bu
 			return fmt.Errorf("metrics: %w", err)
 		}
 		if cfg.metricsFile != "-" {
-			fmt.Printf("wrote metrics to %s\n", cfg.metricsFile)
+			fmt.Fprintf(stdout, "wrote metrics to %s\n", cfg.metricsFile)
 		}
 	}
 	return nil
 }
 
-func buildGraph(cfg config) (*graph.Graph, error) {
+func buildGraph(cfg config, stdout io.Writer) (*graph.Graph, error) {
 	if cfg.graphFile != "" {
 		f, err := os.Open(cfg.graphFile)
 		if err != nil {
@@ -314,112 +301,46 @@ func buildGraph(cfg config) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("planted MWC weight: %d\n", planted)
+		fmt.Fprintf(stdout, "planted MWC weight: %d\n", planted)
 		return g, nil
 	default:
 		return nil, fmt.Errorf("unknown generator %q", cfg.genKind)
 	}
 }
 
-func runApprox(cfg config, g *graph.Graph, net *congest.Network) error {
-	var (
-		weight  int64
-		found   bool
-		label   string
-		witness []int
-	)
-	switch {
-	case !g.Directed() && !g.Weighted():
-		res, err := girth.Run(net, girth.Spec{})
-		if err != nil {
-			return err
-		}
-		weight, found, label = res.Weight, res.Found, "(2-1/g)-approx girth, O~(sqrt(n)+D)"
-		witness = res.Cycle
-	case g.Directed() && !g.Weighted():
-		res, err := dirmwc.Run(net, dirmwc.Spec{})
-		if err != nil {
-			return err
-		}
-		weight, found, label = res.Weight, res.Found, "2-approx directed MWC, O~(n^{4/5}+D)"
-	default:
-		res, err := wmwc.Run(net, wmwc.Spec{Eps: cfg.eps})
-		if err != nil {
-			return err
-		}
-		weight, found, label = res.Weight, res.Found,
-			fmt.Sprintf("(2+%.2g)-approx weighted MWC", cfg.eps)
+// runPortfolio runs a registered algorithm through the facade's run path
+// and prints its answer, cost, reference check and witness.
+func runPortfolio(ctx context.Context, cfg config, g *graph.Graph, fg *congestmwc.Graph, opts congestmwc.Options, stdout io.Writer) error {
+	a, ok := congestmwc.AlgorithmByName(cfg.algo)
+	if !ok {
+		return fmt.Errorf("unknown algorithm %q (want %s | ksssp)", cfg.algo, strings.Join(congestmwc.AlgorithmNames(), " | "))
 	}
-	printMWC(cfg, g, net, label, weight, found)
-	if found && len(witness) > 0 {
-		fmt.Printf("witness cycle: %v\n", witness)
-	}
-	return writeDot(cfg, g, witness)
-}
-
-// featuresOf maps an internal graph onto the planner's feature vector.
-func featuresOf(g *graph.Graph) congestmwc.Features {
-	class := congestmwc.Undirected
-	switch {
-	case g.Directed() && g.Weighted():
-		class = congestmwc.DirectedWeighted
-	case g.Directed():
-		class = congestmwc.Directed
-	case g.Weighted():
-		class = congestmwc.UndirectedWeighted
-	}
-	f := congestmwc.Features{Class: class, N: g.N(), M: g.M(), MaxWeight: g.MaxWeight()}
-	if g.Weighted() {
-		for v := 0; v < g.N() && !f.HasZeroWeight; v++ {
-			for _, a := range g.Out(v) {
-				if a.Weight == 0 {
-					f.HasZeroWeight = true
-					break
-				}
-			}
-		}
-	}
-	return f
-}
-
-func runAgarwal(cfg config, g *graph.Graph, net *congest.Network) error {
-	res, err := agarwal.MWC(net, agarwal.Spec{})
+	res, err := congestmwc.RunAlgorithmCtx(ctx, a.Name, fg, opts)
 	if err != nil {
 		return err
 	}
-	printMWC(cfg, g, net, fmt.Sprintf("exact MWC via batched k-source SSSP (%d batches)", res.Batches), res.Weight, res.Found)
+	fmt.Fprintf(stdout, "algorithm: %s — %s (registered ratio %.3g on %s)\n",
+		a.Name, a.Description, a.Ratio(fg.Class(), opts.Eps), fg.Class())
+	if res.Found {
+		fmt.Fprintf(stdout, "cycle weight: %d\n", res.Weight)
+	} else {
+		fmt.Fprintln(stdout, "cycle weight: none (acyclic)")
+	}
+	fmt.Fprintf(stdout, "rounds: %d  messages: %d  words: %d\n", res.Rounds, res.Messages, res.Words)
+	if cfg.check {
+		truth, ok := seq.MWC(g)
+		switch {
+		case ok && res.Found:
+			fmt.Fprintf(stdout, "reference MWC: %d  ratio: %.3f\n", truth, float64(res.Weight)/float64(truth))
+		case ok != res.Found:
+			fmt.Fprintf(stdout, "reference MWC disagrees: found=%v reference ok=%v\n", res.Found, ok)
+		default:
+			fmt.Fprintln(stdout, "reference MWC: none (acyclic) — agrees")
+		}
+	}
 	if res.Found && len(res.Cycle) > 0 {
-		fmt.Printf("witness cycle: %v\n", res.Cycle)
+		fmt.Fprintf(stdout, "witness cycle: %v\n", res.Cycle)
 	}
-	return writeDot(cfg, g, res.Cycle)
-}
-
-func runGirthApx(cfg config, g *graph.Graph, net *congest.Network) error {
-	res, err := girthapx.Run(net, girthapx.Spec{})
-	if err != nil {
-		return err
-	}
-	printMWC(cfg, g, net, "(2 - 1/g)-approximate girth, O~(sqrt(n) + D)", res.Weight, res.Found)
-	if res.Found && len(res.Cycle) > 0 {
-		fmt.Printf("witness cycle: %v\n", res.Cycle)
-	}
-	return writeDot(cfg, g, res.Cycle)
-}
-
-func runExact(cfg config, g *graph.Graph, net *congest.Network) error {
-	res, err := exact.MWC(net)
-	if err != nil {
-		return err
-	}
-	printMWC(cfg, g, net, "exact MWC via APSP, O~(n)", res.Weight, res.Found)
-	if res.Found && len(res.Cycle) > 0 {
-		fmt.Printf("witness cycle: %v\n", res.Cycle)
-	}
-	return writeDot(cfg, g, res.Cycle)
-}
-
-// writeDot renders the instance (and witness, if any) when -dot is set.
-func writeDot(cfg config, g *graph.Graph, cycle []int) error {
 	if cfg.dotFile == "" {
 		return nil
 	}
@@ -428,36 +349,25 @@ func writeDot(cfg config, g *graph.Graph, cycle []int) error {
 		return err
 	}
 	defer f.Close()
-	if err := dot.Write(f, g, dot.Options{Highlight: cycle, ShowWeights: true}); err != nil {
+	if err := dot.Write(f, g, dot.Options{Highlight: res.Cycle, ShowWeights: true}); err != nil {
 		return err
 	}
-	fmt.Printf("wrote DOT to %s\n", cfg.dotFile)
+	fmt.Fprintf(stdout, "wrote DOT to %s\n", cfg.dotFile)
 	return nil
 }
 
-func printMWC(cfg config, g *graph.Graph, net *congest.Network, label string, weight int64, found bool) {
-	fmt.Printf("algorithm: %s\n", label)
-	if found {
-		fmt.Printf("cycle weight: %d\n", weight)
-	} else {
-		fmt.Println("cycle weight: none (acyclic)")
+func runKSSSP(ctx context.Context, cfg config, g *graph.Graph, observer congest.Observer, stdout io.Writer) error {
+	net, err := congest.NewNetwork(g, congest.Options{
+		Seed: cfg.seed, Bandwidth: cfg.bandwidth, Parallel: cfg.parallel,
+		Stepwise: cfg.stepwise,
+	})
+	if err != nil {
+		return err
 	}
-	s := net.Stats()
-	fmt.Printf("rounds: %d  messages: %d  words: %d\n", s.Rounds, s.Messages, s.Words)
-	if cfg.check {
-		truth, ok := seq.MWC(g)
-		switch {
-		case ok && found:
-			fmt.Printf("reference MWC: %d  ratio: %.3f\n", truth, float64(weight)/float64(truth))
-		case ok != found:
-			fmt.Printf("reference MWC disagrees: found=%v reference ok=%v\n", found, ok)
-		default:
-			fmt.Println("reference MWC: none (acyclic) — agrees")
-		}
+	net.SetContext(ctx)
+	if observer != nil {
+		net.SetObserver(observer)
 	}
-}
-
-func runKSSSP(cfg config, g *graph.Graph, net *congest.Network) error {
 	k := cfg.k
 	if k <= 0 {
 		k = int(math.Ceil(math.Sqrt(float64(g.N()))))
@@ -482,11 +392,11 @@ func runKSSSP(cfg config, g *graph.Graph, net *congest.Network) error {
 			}
 		}
 	}
-	fmt.Printf("algorithm: %d-source %s (Theorem 1.6)\n", k, map[bool]string{true: "(1+eps)-approx SSSP", false: "exact BFS"}[g.Weighted()])
-	fmt.Printf("sources: %s\n", joinInts(sources))
-	fmt.Printf("reachable (source,vertex) pairs: %d / %d\n", reached, k*g.N())
+	fmt.Fprintf(stdout, "algorithm: %d-source %s (Theorem 1.6)\n", k, map[bool]string{true: "(1+eps)-approx SSSP", false: "exact BFS"}[g.Weighted()])
+	fmt.Fprintf(stdout, "sources: %s\n", joinInts(sources))
+	fmt.Fprintf(stdout, "reachable (source,vertex) pairs: %d / %d\n", reached, k*g.N())
 	s := net.Stats()
-	fmt.Printf("rounds: %d  messages: %d  words: %d\n", s.Rounds, s.Messages, s.Words)
+	fmt.Fprintf(stdout, "rounds: %d  messages: %d  words: %d\n", s.Rounds, s.Messages, s.Words)
 	if cfg.check {
 		worst := 1.0
 		for i, src := range sources {
@@ -500,7 +410,7 @@ func runKSSSP(cfg config, g *graph.Graph, net *congest.Network) error {
 				}
 			}
 		}
-		fmt.Printf("worst distance ratio vs reference: %.4f\n", worst)
+		fmt.Fprintf(stdout, "worst distance ratio vs reference: %.4f\n", worst)
 	}
 	return nil
 }

@@ -38,12 +38,8 @@ import (
 	"math"
 
 	"congestmwc/internal/congest"
-	"congestmwc/internal/dirmwc"
-	"congestmwc/internal/exact"
-	"congestmwc/internal/girth"
 	"congestmwc/internal/graph"
 	"congestmwc/internal/seq"
-	"congestmwc/internal/wmwc"
 )
 
 // Inf is the distance value reported for unreachable pairs.
@@ -211,13 +207,6 @@ func (o Options) netOptions() congest.Options {
 	}
 }
 
-func (o Options) eps() float64 {
-	if o.Eps > 0 {
-		return o.Eps
-	}
-	return 0.25
-}
-
 // Result reports an MWC computation.
 type Result struct {
 	// Weight is the weight of the cycle found (only valid if Found).
@@ -237,16 +226,6 @@ type Result struct {
 	Cycle []int
 }
 
-func newResult(weight int64, found bool, stats congest.Stats) *Result {
-	return &Result{
-		Weight:   weight,
-		Found:    found,
-		Rounds:   stats.Rounds,
-		Messages: stats.Messages,
-		Words:    stats.Words,
-	}
-}
-
 // ApproxMWC computes an approximate minimum weight cycle with the paper's
 // sublinear-round algorithm for the graph's class (see the package
 // documentation for the factor and round complexity per class). The
@@ -257,52 +236,10 @@ func ApproxMWC(g *Graph, opts Options) (*Result, error) {
 	return ApproxMWCCtx(context.Background(), g, opts)
 }
 
-// ApproxMWCCtx is ApproxMWC under a context: when ctx is canceled or its
-// deadline passes, the in-flight simulation stops within one executed round
-// and the call returns an error satisfying errors.Is against ctx.Err(). On
-// cancellation the returned Result is non-nil with Found == false and
-// carries the partial Rounds/Messages/Words of the aborted run, so callers
-// can report how much work was executed.
+// ApproxMWCCtx is ApproxMWC under a context, with the cancellation and
+// partial-progress semantics of RunAlgorithmCtx.
 func ApproxMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	net, err := congest.NewNetwork(g.g, opts.netOptions())
-	if err != nil {
-		return nil, fmt.Errorf("congestmwc: %w", err)
-	}
-	net.SetContext(ctx)
-	if opts.observer != nil {
-		net.SetObserver(opts.observer)
-	}
-	switch g.class {
-	case Undirected:
-		res, err := girth.Run(net, girth.Spec{SampleFactor: opts.SampleFactor})
-		if err != nil {
-			return partialOnCancel(net, err)
-		}
-		out := newResult(res.Weight, res.Found, net.Stats())
-		out.Cycle = res.Cycle
-		return out, nil
-	case Directed:
-		res, err := dirmwc.Run(net, dirmwc.Spec{SampleFactor: opts.SampleFactor})
-		if err != nil {
-			return partialOnCancel(net, err)
-		}
-		out := newResult(res.Weight, res.Found, net.Stats())
-		out.Cycle = res.Cycle
-		return out, nil
-	case UndirectedWeighted, DirectedWeighted:
-		res, err := wmwc.Run(net, wmwc.Spec{Eps: opts.eps(), SampleFactor: opts.SampleFactor})
-		if err != nil {
-			return partialOnCancel(net, err)
-		}
-		out := newResult(res.Weight, res.Found, net.Stats())
-		out.Cycle = res.Cycle
-		return out, nil
-	default:
-		return nil, fmt.Errorf("congestmwc: unknown class %d", int(g.class))
-	}
+	return RunAlgorithmCtx(ctx, AlgoNameApprox, g, opts)
 }
 
 // ExactMWC computes the exact minimum weight cycle with the O~(n)-round
@@ -311,39 +248,10 @@ func ExactMWC(g *Graph, opts Options) (*Result, error) {
 	return ExactMWCCtx(context.Background(), g, opts)
 }
 
-// ExactMWCCtx is ExactMWC under a context, with the same cancellation and
-// partial-progress semantics as ApproxMWCCtx.
+// ExactMWCCtx is ExactMWC under a context, with the cancellation and
+// partial-progress semantics of RunAlgorithmCtx.
 func ExactMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	net, err := congest.NewNetwork(g.g, opts.netOptions())
-	if err != nil {
-		return nil, fmt.Errorf("congestmwc: %w", err)
-	}
-	net.SetContext(ctx)
-	if opts.observer != nil {
-		net.SetObserver(opts.observer)
-	}
-	res, err := exact.MWC(net)
-	if err != nil {
-		return partialOnCancel(net, err)
-	}
-	out := newResult(res.Weight, res.Found, net.Stats())
-	out.Cycle = res.Cycle
-	return out, nil
-}
-
-// partialOnCancel shapes an algorithm error for the facade: cancellation
-// errors come back with a partial Result carrying the stats of the aborted
-// run (so callers can report executed progress); every other error passes
-// through with a nil result.
-func partialOnCancel(net *congest.Network, err error) (*Result, error) {
-	wrapped := fmt.Errorf("congestmwc: %w", err)
-	if errors.Is(err, congest.ErrCanceled) {
-		return newResult(0, false, net.Stats()), wrapped
-	}
-	return nil, wrapped
+	return RunAlgorithmCtx(ctx, AlgoNameExact, g, opts)
 }
 
 // VerifyCycle checks that the vertex sequence (closing edge implicit) is a

@@ -17,10 +17,14 @@
 //     instance to a small reproducer and emits it as a graphio corpus file
 //     plus a ready-to-paste Go test case.
 //
+// The algorithms, their bounds, round ceilings and harness ranges all come
+// from the portfolio registry (congestmwc.Portfolio), so a registered
+// algorithm is fuzzed, bounded and checked without being named here.
+//
 // cmd/mwcfuzz drives timed soaks over this engine; the native go-fuzz
-// targets (FuzzApproxMWC, FuzzExactVsReference, FuzzJobsSubmit) wrap the
-// same oracles, so CI fuzzing and soak runs share one notion of
-// correctness. See docs/TESTING.md.
+// targets (FuzzApproxMWC, FuzzPortfolio, FuzzJobsSubmit) wrap the same
+// oracles, so CI fuzzing and soak runs share one notion of correctness.
+// See docs/TESTING.md.
 package check
 
 import (
@@ -264,8 +268,8 @@ func GoTestCase(in Instance, oracle string, opts RunOptions) string {
 		}
 	}
 	fmt.Fprintf(&b, "\t\t},\n\t}\n")
-	fmt.Fprintf(&b, "\tviolations, err := check.CheckInstance(inst, check.RunOptions{Seed: %d, SampleFactor: %g, Eps: %g, Exact: true})\n",
-		opts.Seed, opts.SampleFactor, opts.Eps)
+	fmt.Fprintf(&b, "\tviolations, err := check.CheckInstance(inst, check.RunOptions{Seed: %d, SampleFactor: %g, Eps: %g, Algos: %#v})\n",
+		opts.Seed, opts.SampleFactor, opts.Eps, opts.Algos)
 	fmt.Fprintf(&b, "\tif err != nil {\n\t\tt.Fatal(err)\n\t}\n")
 	fmt.Fprintf(&b, "\tfor _, v := range violations {\n")
 	fmt.Fprintf(&b, "\t\tif v.Oracle == %q {\n\t\t\tt.Errorf(\"oracle %%s still fails: %%s\", v.Oracle, v.Detail)\n\t\t}\n\t}\n", oracle)

@@ -17,17 +17,22 @@ import (
 func TestMinimizeInvertedRatioOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	inst := ShapeInstance(rng, congestmwc.Undirected, ShapeSparse, 40)
-	opts := RunOptions{Seed: 3}
+	opts := RunOptions{Seed: 3, Algos: []string{congestmwc.AlgoNameApprox}}
+	approx, _ := congestmwc.AlgorithmByName(congestmwc.AlgoNameApprox)
 
 	// Inverted bound: flag the instance when the approximation is WITHIN
 	// the class ratio bound. Correct behaviour becomes "failing", so the
 	// minimizer can shrink all the way down to the smallest cycle.
 	brokenOracle := func(in Instance) bool {
 		out, err := Run(in, opts)
-		if err != nil || !out.RefFound || out.ApproxErr != nil || !out.Approx.Found {
+		if err != nil {
 			return false
 		}
-		return out.Approx.Weight <= ApproxRatioBound(in.Class, out.Ref, opts.Eps)
+		r := out.Runs[approx.Name]
+		if !out.RefFound || r.Err != nil || !r.Res.Found {
+			return false
+		}
+		return r.Res.Weight <= approx.Bound(in.Class, out.Ref, opts.Eps)
 	}
 	if !brokenOracle(inst) {
 		t.Fatal("seed instance does not trip the inverted oracle")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"congestmwc"
 )
@@ -20,33 +19,18 @@ type RunOptions struct {
 	// Eps is the weighted-approximation accuracy parameter (default 0.25,
 	// matching the facade default; the ratio oracle uses the same value).
 	Eps float64
-	// Exact also runs the O~(n)-round exact baseline (differential against
-	// the sequential reference).
-	Exact bool
+	// Algos names the portfolio algorithms to run (default: every
+	// registered one). Each runs on the instances inside its range: the
+	// classes it serves, up to its CheckMaxWeight.
+	Algos []string
 	// Parallel also runs the approximation on the parallel engine and
-	// checks engine agreement.
+	// checks engine agreement (only when "approx" is among Algos).
 	Parallel bool
-	// Cancel probes cancellation during the Init phase (an
-	// already-cancelled context must surface ErrCanceled, never nil —
-	// regression for the PR 3 Init-phase bug).
+	// Cancel probes cancellation of the approximation during the Init
+	// phase: an already-cancelled context must surface ErrCanceled, never
+	// nil (only when "approx" is among Algos).
 	Cancel bool
-	// Agarwal also runs the batched deterministic exact algorithm
-	// (internal/agarwal) and cross-checks it bit-for-bit against the
-	// sequential reference.
-	Agarwal bool
-	// GirthApx also runs the undirected girth approximation
-	// (internal/girthapx) on undirected instances whose maximum weight is
-	// at most GirthApxWeightCap, and checks its factor-2 ratio.
-	GirthApx bool
 }
-
-// GirthApxWeightCap bounds the instances the harness runs girthapx on: the
-// algorithm's sigma-detection phase simulates the stretched graph, whose
-// round count is pseudo-polynomial in the edge weights, so the generator's
-// near-2^30 weight shapes would stall a soak. The planner's cost model
-// prices this in (estGirthApx grows linearly with maxW), so the cap mirrors
-// the region where the algorithm is actually eligible to win.
-const GirthApxWeightCap = 64
 
 func (o RunOptions) withDefaults() RunOptions {
 	if o.Seed == 0 {
@@ -58,12 +42,20 @@ func (o RunOptions) withDefaults() RunOptions {
 	if o.Eps == 0 {
 		o.Eps = 0.25
 	}
+	if o.Algos == nil {
+		o.Algos = congestmwc.AlgorithmNames()
+	}
 	return o
 }
 
+// AlgoRun is one algorithm's run on an instance.
+type AlgoRun struct {
+	Res *congestmwc.Result
+	Err error
+}
+
 // Outcome is everything one differential run produced; the oracles judge
-// it. Approx/Exact results are nil when their run errored (or was not
-// requested).
+// it.
 type Outcome struct {
 	Inst Instance
 	Opts RunOptions
@@ -75,30 +67,16 @@ type Outcome struct {
 	// round bound.
 	Diameter int
 
-	Approx    *congestmwc.Result
-	ApproxErr error
-	// ApproxPar is the parallel-engine run of the same approximation
-	// (same seed), when RunOptions.Parallel was set.
-	ApproxPar    *congestmwc.Result
-	ApproxParErr error
-	Exact        *congestmwc.Result
-	ExactErr     error
-	// CancelRes/CancelErr are the result of running the approximation
-	// under an already-cancelled context, when RunOptions.Cancel was set.
-	CancelRes *congestmwc.Result
-	CancelErr error
-	// Agarwal is the batched deterministic exact run, when
-	// RunOptions.Agarwal was set.
-	Agarwal    *congestmwc.Result
-	AgarwalErr error
-	// GirthApx is the undirected girth-approximation run, when
-	// RunOptions.GirthApx was set and the instance is in its range
-	// (undirected, maxW <= GirthApxWeightCap).
-	GirthApx    *congestmwc.Result
-	GirthApxErr error
-	// GirthApxRan records whether the girthapx run was attempted (false
-	// when the instance is outside its documented range).
-	GirthApxRan bool
+	// Runs holds one entry per algorithm of Opts.Algos that ran on the
+	// instance, keyed by registry name. Algorithms outside their range are
+	// absent.
+	Runs map[string]AlgoRun
+	// Parallel is the parallel-engine run of the approximation (same
+	// seed), when RunOptions.Parallel was set.
+	Parallel AlgoRun
+	// Cancel is the approximation run under an already-cancelled context,
+	// when RunOptions.Cancel was set.
+	Cancel AlgoRun
 }
 
 // Violation is one oracle failure on one instance.
@@ -109,10 +87,11 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Oracle + ": " + v.Detail }
 
-// Run executes the differential run: sequential reference, approximation
-// (sequential engine, plus parallel engine and exact baseline when asked)
-// and the cancellation probe. It errors only when the instance itself is
-// unusable (fails to build, or disconnected).
+// Run executes the differential run: the sequential reference, every
+// requested algorithm inside its range, and the approximation's parallel
+// engine and cancellation probes when asked. It errors only when the
+// instance itself is unusable (fails to build, or disconnected) or an
+// algorithm name is not registered.
 func Run(inst Instance, opts RunOptions) (*Outcome, error) {
 	opts = opts.withDefaults()
 	g, err := inst.Graph()
@@ -122,7 +101,7 @@ func Run(inst Instance, opts RunOptions) (*Outcome, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("check: instance communication graph is disconnected")
 	}
-	out := &Outcome{Inst: inst, Opts: opts}
+	out := &Outcome{Inst: inst, Opts: opts, Runs: make(map[string]AlgoRun, len(opts.Algos))}
 	ig, err := inst.internalGraph()
 	if err != nil {
 		return nil, fmt.Errorf("check: %w", err)
@@ -136,28 +115,36 @@ func Run(inst Instance, opts RunOptions) (*Outcome, error) {
 	out.Ref, out.RefFound = ref, err == nil
 
 	ro := congestmwc.Options{Seed: opts.Seed, SampleFactor: opts.SampleFactor, Eps: opts.Eps}
-	out.Approx, out.ApproxErr = congestmwc.ApproxMWC(g, ro)
-	if opts.Parallel {
-		po := ro
-		po.Parallel = true
-		out.ApproxPar, out.ApproxParErr = congestmwc.ApproxMWC(g, po)
+	for _, name := range opts.Algos {
+		a, ok := congestmwc.AlgorithmByName(name)
+		if !ok {
+			return nil, fmt.Errorf("check: unknown algorithm %q (registered: %v)", name, congestmwc.AlgorithmNames())
+		}
+		if !inRange(a, inst) {
+			continue
+		}
+		var r AlgoRun
+		r.Res, r.Err = congestmwc.RunAlgorithm(name, g, ro)
+		out.Runs[name] = r
 	}
-	if opts.Exact {
-		out.Exact, out.ExactErr = congestmwc.ExactMWC(g, ro)
-	}
-	if opts.Cancel {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		out.CancelRes, out.CancelErr = congestmwc.ApproxMWCCtx(ctx, g, ro)
-	}
-	if opts.Agarwal {
-		out.Agarwal, out.AgarwalErr = congestmwc.RunAlgorithm(congestmwc.AlgoNameAgarwal, g, ro)
-	}
-	if opts.GirthApx && !inst.Directed() && inst.MaxWeight() <= GirthApxWeightCap {
-		out.GirthApxRan = true
-		out.GirthApx, out.GirthApxErr = congestmwc.RunAlgorithm(congestmwc.AlgoNameGirthApx, g, ro)
+	if _, ok := out.Runs[congestmwc.AlgoNameApprox]; ok {
+		if opts.Parallel {
+			po := ro
+			po.Parallel = true
+			out.Parallel.Res, out.Parallel.Err = congestmwc.ApproxMWC(g, po)
+		}
+		if opts.Cancel {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			out.Cancel.Res, out.Cancel.Err = congestmwc.ApproxMWCCtx(ctx, g, ro)
+		}
 	}
 	return out, nil
+}
+
+// inRange reports whether the harness runs algorithm a on the instance.
+func inRange(a congestmwc.AlgorithmInfo, inst Instance) bool {
+	return a.ServesClass(inst.Class) && (a.CheckMaxWeight <= 0 || inst.MaxWeight() <= a.CheckMaxWeight)
 }
 
 // CheckInstance is Run followed by Check.
@@ -169,31 +156,11 @@ func CheckInstance(inst Instance, opts RunOptions) ([]Violation, error) {
 	return Check(out), nil
 }
 
-// expectedApproxReject reports whether an approximation error on this
-// instance is documented behaviour rather than a bug: the weighted
-// pipeline rejects weight-0 edges descriptively.
-func expectedApproxReject(out *Outcome) bool {
-	return out.Inst.Weighted() && out.Inst.HasZeroWeight()
-}
-
-// ApproxRatioBound returns the largest approximation weight the paper's
-// theorems permit on this instance: (2 - 1/g)*g = 2g - 1 for the
-// undirected girth (Theorem 1.3.B), 2*MWC for directed unweighted
-// (Theorem 1.2.C) and (2+eps)*MWC for the weighted classes (Theorems
-// 1.2.D, 1.4.C). A small additive slack (+2) absorbs integer rounding in
-// the weighted pipeline, as in the long-standing facade tests.
-func ApproxRatioBound(class congestmwc.Class, ref int64, eps float64) int64 {
-	if eps <= 0 {
-		eps = 0.25
-	}
-	switch class {
-	case congestmwc.Undirected:
-		return 2*ref - 1
-	case congestmwc.Directed:
-		return 2 * ref
-	default:
-		return int64(math.Ceil((2+eps)*float64(ref))) + 2
-	}
+// expectedReject reports whether an error of algorithm a on this instance
+// is documented behaviour rather than a bug: algorithms registered with
+// RejectsZeroWeight refuse weighted weight-0 edges descriptively.
+func expectedReject(a congestmwc.AlgorithmInfo, inst Instance) bool {
+	return a.RejectsZeroWeight && inst.Weighted() && inst.HasZeroWeight()
 }
 
 // Oracle is one named invariant over a run's Outcome. Check returns "" on
@@ -203,32 +170,43 @@ type Oracle struct {
 	Check func(*Outcome) string
 }
 
-// Oracles returns the full oracle registry, in evaluation order.
+// algoOracles are the generic per-algorithm invariants, named
+// "<algo>-<kind>". Each judges the algorithm's registry entry and its run;
+// check functions only see runs that exist.
+var algoOracles = []struct {
+	kind  string
+	check func(out *Outcome, a congestmwc.AlgorithmInfo, r AlgoRun) string
+}{
+	{"error", oracleError},
+	{"found", oracleFound},
+	{"sound", oracleSound},
+	{"ratio", oracleRatio},
+	{"witness", oracleWitness},
+	{"rounds", oracleRounds},
+}
+
+// Oracles returns the full oracle registry, in evaluation order: the
+// generic family for every registered algorithm, then the approximation's
+// engine and cancellation probes and the planner check.
 func Oracles() []Oracle {
-	return []Oracle{
-		{"approx-error", oracleApproxError},
-		{"approx-found", oracleApproxFound},
-		{"approx-sound", oracleApproxSound},
-		{"approx-ratio", oracleApproxRatio},
-		{"approx-witness", oracleApproxWitness},
-		{"approx-rounds", oracleApproxRounds},
-		{"exact-error", oracleExactError},
-		{"exact-reference", oracleExactReference},
-		{"exact-witness", oracleExactWitness},
-		{"exact-rounds", oracleExactRounds},
-		{"engines-agree", oracleEnginesAgree},
-		{"cancel-init", oracleCancelInit},
-		{"agarwal-error", oracleAgarwalError},
-		{"agarwal-reference", oracleAgarwalReference},
-		{"agarwal-witness", oracleAgarwalWitness},
-		{"agarwal-rounds", oracleAgarwalRounds},
-		{"girthapx-error", oracleGirthApxError},
-		{"girthapx-sound", oracleGirthApxSound},
-		{"girthapx-ratio", oracleGirthApxRatio},
-		{"girthapx-witness", oracleGirthApxWitness},
-		{"girthapx-rounds", oracleGirthApxRounds},
-		{"planner-sound", oraclePlannerSound},
+	var list []Oracle
+	for _, a := range congestmwc.Portfolio() {
+		for _, o := range algoOracles {
+			a, o := a, o
+			list = append(list, Oracle{a.Name + "-" + o.kind, func(out *Outcome) string {
+				r, ok := out.Runs[a.Name]
+				if !ok {
+					return ""
+				}
+				return o.check(out, a, r)
+			}})
+		}
 	}
+	return append(list,
+		Oracle{"engines-agree", oracleEnginesAgree},
+		Oracle{"cancel-init", oracleCancelInit},
+		Oracle{"planner-sound", oraclePlannerSound},
+	)
 }
 
 // Check evaluates every registered oracle against the outcome.
@@ -242,139 +220,97 @@ func Check(out *Outcome) []Violation {
 	return vs
 }
 
-func oracleApproxError(out *Outcome) string {
-	if out.ApproxErr == nil || expectedApproxReject(out) {
+func oracleError(out *Outcome, a congestmwc.AlgorithmInfo, r AlgoRun) string {
+	if r.Err == nil || expectedReject(a, out.Inst) {
 		return ""
 	}
-	return fmt.Sprintf("ApproxMWC failed on a valid instance: %v", out.ApproxErr)
+	return fmt.Sprintf("%s failed on a valid instance: %v", a.Name, r.Err)
 }
 
-func oracleApproxFound(out *Outcome) string {
-	if out.Approx == nil || out.ApproxErr != nil {
+func oracleFound(out *Outcome, a congestmwc.AlgorithmInfo, r AlgoRun) string {
+	if r.Err != nil || r.Res.Found == out.RefFound {
 		return ""
 	}
-	if out.Approx.Found != out.RefFound {
-		return fmt.Sprintf("approx Found=%v but reference Found=%v (ref weight %d)",
-			out.Approx.Found, out.RefFound, out.Ref)
+	return fmt.Sprintf("%s Found=%v but reference Found=%v (ref weight %d)",
+		a.Name, r.Res.Found, out.RefFound, out.Ref)
+}
+
+func oracleSound(out *Outcome, a congestmwc.AlgorithmInfo, r AlgoRun) string {
+	if r.Err != nil || !r.Res.Found || !out.RefFound || r.Res.Weight >= out.Ref {
+		return ""
+	}
+	return fmt.Sprintf("%s weight %d below the true MWC %d (reported weight must be a real cycle's)",
+		a.Name, r.Res.Weight, out.Ref)
+}
+
+func oracleRatio(out *Outcome, a congestmwc.AlgorithmInfo, r AlgoRun) string {
+	if r.Err != nil || !r.Res.Found || !out.RefFound {
+		return ""
+	}
+	if bound := a.Bound(out.Inst.Class, out.Ref, out.Opts.Eps); r.Res.Weight > bound {
+		return fmt.Sprintf("%s weight %d exceeds the registered bound %d (true MWC %d, class %s)",
+			a.Name, r.Res.Weight, bound, out.Ref, out.Inst.Class)
 	}
 	return ""
 }
 
-func oracleApproxSound(out *Outcome) string {
-	if out.Approx == nil || out.ApproxErr != nil || !out.Approx.Found || !out.RefFound {
+// oracleWitness validates the witness cycle against the instance. Exact
+// algorithms must produce one whenever they find a cycle, weighing exactly
+// the reported weight; approximations may omit it, but a witness they
+// produce may weigh no more than the reported weight.
+func oracleWitness(out *Outcome, a congestmwc.AlgorithmInfo, r AlgoRun) string {
+	if r.Err != nil {
 		return ""
 	}
-	if out.Approx.Weight < out.Ref {
-		return fmt.Sprintf("approx weight %d below the true MWC %d (reported weight must be a real cycle's)",
-			out.Approx.Weight, out.Ref)
-	}
-	return ""
-}
-
-func oracleApproxRatio(out *Outcome) string {
-	if out.Approx == nil || out.ApproxErr != nil || !out.Approx.Found || !out.RefFound {
+	res := r.Res
+	if res.Cycle == nil {
+		if a.Exact && res.Found {
+			return fmt.Sprintf("%s found a cycle but produced no witness", a.Name)
+		}
 		return ""
 	}
-	bound := ApproxRatioBound(out.Inst.Class, out.Ref, out.Opts.Eps)
-	if out.Approx.Weight > bound {
-		return fmt.Sprintf("approx weight %d exceeds the class bound %d (true MWC %d, class %s)",
-			out.Approx.Weight, bound, out.Ref, out.Inst.Class)
-	}
-	return ""
-}
-
-// verifyWitness validates a non-nil witness cycle against the instance.
-func verifyWitness(out *Outcome, res *congestmwc.Result, exact bool) string {
 	g, err := out.Inst.Graph()
 	if err != nil {
 		return "" // Run already rejected unbuildable instances
 	}
 	w, err := g.VerifyCycle(res.Cycle)
-	if err != nil {
+	switch {
+	case err != nil:
 		return fmt.Sprintf("witness %v is not a simple cycle: %v", res.Cycle, err)
-	}
-	if exact && w != res.Weight {
-		return fmt.Sprintf("exact witness %v weighs %d, result claims %d", res.Cycle, w, res.Weight)
-	}
-	if !exact && w > res.Weight {
-		return fmt.Sprintf("approx witness %v weighs %d, more than the reported weight %d", res.Cycle, w, res.Weight)
+	case a.Exact && w != res.Weight:
+		return fmt.Sprintf("%s witness %v weighs %d, result claims %d", a.Name, res.Cycle, w, res.Weight)
+	case w > res.Weight:
+		return fmt.Sprintf("%s witness %v weighs %d, more than the reported weight %d", a.Name, res.Cycle, w, res.Weight)
 	}
 	return ""
 }
 
-func oracleApproxWitness(out *Outcome) string {
-	if out.Approx == nil || out.ApproxErr != nil || out.Approx.Cycle == nil {
+func oracleRounds(out *Outcome, a congestmwc.AlgorithmInfo, r AlgoRun) string {
+	if r.Err != nil {
 		return ""
 	}
-	return verifyWitness(out, out.Approx, false)
-}
-
-func oracleApproxRounds(out *Outcome) string {
-	if out.Approx == nil || out.ApproxErr != nil {
-		return ""
-	}
-	ceiling := RoundCeiling(out.Inst.Class, AlgoApprox, out.Inst.N, out.Diameter, out.Opts.Eps, out.Inst.MaxWeight())
-	if out.Approx.Rounds > ceiling {
-		return fmt.Sprintf("approx took %d rounds, over the theorem-shaped ceiling %d (n=%d, D=%d)",
-			out.Approx.Rounds, ceiling, out.Inst.N, out.Diameter)
-	}
-	return ""
-}
-
-func oracleExactError(out *Outcome) string {
-	if !out.Opts.Exact || out.ExactErr == nil {
-		return ""
-	}
-	return fmt.Sprintf("ExactMWC failed on a valid instance: %v", out.ExactErr)
-}
-
-func oracleExactReference(out *Outcome) string {
-	if out.Exact == nil || out.ExactErr != nil {
-		return ""
-	}
-	if out.Exact.Found != out.RefFound {
-		return fmt.Sprintf("exact Found=%v but reference Found=%v", out.Exact.Found, out.RefFound)
-	}
-	if out.Exact.Found && out.Exact.Weight != out.Ref {
-		return fmt.Sprintf("exact weight %d != reference %d", out.Exact.Weight, out.Ref)
-	}
-	return ""
-}
-
-func oracleExactWitness(out *Outcome) string {
-	if out.Exact == nil || out.ExactErr != nil || !out.Exact.Found {
-		return ""
-	}
-	if out.Exact.Cycle == nil {
-		return "exact found a cycle but produced no witness"
-	}
-	return verifyWitness(out, out.Exact, true)
-}
-
-func oracleExactRounds(out *Outcome) string {
-	if out.Exact == nil || out.ExactErr != nil {
-		return ""
-	}
-	ceiling := RoundCeiling(out.Inst.Class, AlgoExact, out.Inst.N, out.Diameter, out.Opts.Eps, out.Inst.MaxWeight())
-	if out.Exact.Rounds > ceiling {
-		return fmt.Sprintf("exact took %d rounds, over the theorem-shaped ceiling %d (n=%d, D=%d)",
-			out.Exact.Rounds, ceiling, out.Inst.N, out.Diameter)
+	in := out.Inst
+	if ceiling := a.RoundCeiling(in.Class, in.N, out.Diameter, out.Opts.Eps, in.MaxWeight()); r.Res.Rounds > ceiling {
+		return fmt.Sprintf("%s took %d rounds, over the theorem-shaped ceiling %d (n=%d, D=%d, maxW=%d)",
+			a.Name, r.Res.Rounds, ceiling, in.N, out.Diameter, in.MaxWeight())
 	}
 	return ""
 }
 
 func oracleEnginesAgree(out *Outcome) string {
-	if !out.Opts.Parallel {
+	seq, ok := out.Runs[congestmwc.AlgoNameApprox]
+	if !out.Opts.Parallel || !ok {
 		return ""
 	}
-	if (out.ApproxErr == nil) != (out.ApproxParErr == nil) {
+	par := out.Parallel
+	if (seq.Err == nil) != (par.Err == nil) {
 		return fmt.Sprintf("engines disagree on failure: sequential err=%v, parallel err=%v",
-			out.ApproxErr, out.ApproxParErr)
+			seq.Err, par.Err)
 	}
-	if out.Approx == nil || out.ApproxPar == nil || out.ApproxErr != nil {
+	if seq.Err != nil {
 		return ""
 	}
-	a, p := out.Approx, out.ApproxPar
+	a, p := seq.Res, par.Res
 	if a.Found != p.Found || a.Weight != p.Weight || a.Rounds != p.Rounds ||
 		a.Messages != p.Messages || a.Words != p.Words {
 		return fmt.Sprintf("sequential and parallel engines diverge: seq={w=%d found=%v r=%d m=%d wd=%d} par={w=%d found=%v r=%d m=%d wd=%d}",
@@ -385,122 +321,25 @@ func oracleEnginesAgree(out *Outcome) string {
 }
 
 func oracleCancelInit(out *Outcome) string {
-	if !out.Opts.Cancel {
+	if _, ok := out.Runs[congestmwc.AlgoNameApprox]; !out.Opts.Cancel || !ok {
 		return ""
 	}
-	if out.CancelErr == nil {
-		return "run under an already-cancelled context returned nil error (lost cancellation, PR 3 Init-phase bug class)"
+	c := out.Cancel
+	if c.Err == nil {
+		return "run under an already-cancelled context returned nil error (lost cancellation in the Init phase)"
 	}
-	if expectedApproxReject(out) && !errors.Is(out.CancelErr, context.Canceled) {
-		return "" // input validation may legitimately fire before the first round
+	if !errors.Is(c.Err, context.Canceled) {
+		approx, _ := congestmwc.AlgorithmByName(congestmwc.AlgoNameApprox)
+		if expectedReject(approx, out.Inst) {
+			return "" // input validation may legitimately fire before the first round
+		}
+		return fmt.Sprintf("cancelled run's error %v does not wrap context.Canceled", c.Err)
 	}
-	if !errors.Is(out.CancelErr, context.Canceled) {
-		return fmt.Sprintf("cancelled run's error %v does not wrap context.Canceled", out.CancelErr)
-	}
-	if out.CancelRes == nil {
+	if c.Res == nil {
 		return "cancelled run returned no partial result"
 	}
-	if out.CancelRes.Found {
+	if c.Res.Found {
 		return "cancelled run claims Found=true"
-	}
-	return ""
-}
-
-func oracleAgarwalError(out *Outcome) string {
-	if !out.Opts.Agarwal || out.AgarwalErr == nil {
-		return ""
-	}
-	// Unlike the approximation pipeline, agarwal's plain weighted mode
-	// handles zero-weight edges, so there is no expected-rejection carve-out.
-	return fmt.Sprintf("agarwal failed on a valid instance: %v", out.AgarwalErr)
-}
-
-func oracleAgarwalReference(out *Outcome) string {
-	if out.Agarwal == nil || out.AgarwalErr != nil {
-		return ""
-	}
-	if out.Agarwal.Found != out.RefFound {
-		return fmt.Sprintf("agarwal Found=%v but reference Found=%v", out.Agarwal.Found, out.RefFound)
-	}
-	if out.Agarwal.Found && out.Agarwal.Weight != out.Ref {
-		return fmt.Sprintf("agarwal weight %d != reference %d (exact algorithms must agree bit for bit)",
-			out.Agarwal.Weight, out.Ref)
-	}
-	return ""
-}
-
-func oracleAgarwalWitness(out *Outcome) string {
-	if out.Agarwal == nil || out.AgarwalErr != nil || !out.Agarwal.Found {
-		return ""
-	}
-	if out.Agarwal.Cycle == nil {
-		return "agarwal found a cycle but produced no witness"
-	}
-	return verifyWitness(out, out.Agarwal, true)
-}
-
-func oracleAgarwalRounds(out *Outcome) string {
-	if out.Agarwal == nil || out.AgarwalErr != nil {
-		return ""
-	}
-	ceiling := RoundCeiling(out.Inst.Class, AlgoAgarwal, out.Inst.N, out.Diameter, out.Opts.Eps, out.Inst.MaxWeight())
-	if out.Agarwal.Rounds > ceiling {
-		return fmt.Sprintf("agarwal took %d rounds, over the theorem-shaped ceiling %d (n=%d, D=%d)",
-			out.Agarwal.Rounds, ceiling, out.Inst.N, out.Diameter)
-	}
-	return ""
-}
-
-func oracleGirthApxError(out *Outcome) string {
-	if !out.GirthApxRan || out.GirthApxErr == nil || expectedApproxReject(out) {
-		return ""
-	}
-	return fmt.Sprintf("girthapx failed on a valid instance: %v", out.GirthApxErr)
-}
-
-func oracleGirthApxSound(out *Outcome) string {
-	if out.GirthApx == nil || out.GirthApxErr != nil {
-		return ""
-	}
-	if out.GirthApx.Found != out.RefFound {
-		return fmt.Sprintf("girthapx Found=%v but reference Found=%v (ref weight %d)",
-			out.GirthApx.Found, out.RefFound, out.Ref)
-	}
-	if out.GirthApx.Found && out.GirthApx.Weight < out.Ref {
-		return fmt.Sprintf("girthapx weight %d below the true MWC %d", out.GirthApx.Weight, out.Ref)
-	}
-	return ""
-}
-
-func oracleGirthApxRatio(out *Outcome) string {
-	if out.GirthApx == nil || out.GirthApxErr != nil || !out.GirthApx.Found || !out.RefFound {
-		return ""
-	}
-	// The registered ratio is a plain 2, slack 0 (on the unweighted class
-	// the (2g-1) girth bound is even tighter, but 2*ref is what the
-	// portfolio promises and the planner relies on).
-	if bound := 2 * out.Ref; out.GirthApx.Weight > bound {
-		return fmt.Sprintf("girthapx weight %d exceeds the registered factor-2 bound %d (true MWC %d)",
-			out.GirthApx.Weight, bound, out.Ref)
-	}
-	return ""
-}
-
-func oracleGirthApxWitness(out *Outcome) string {
-	if out.GirthApx == nil || out.GirthApxErr != nil || out.GirthApx.Cycle == nil {
-		return ""
-	}
-	return verifyWitness(out, out.GirthApx, false)
-}
-
-func oracleGirthApxRounds(out *Outcome) string {
-	if out.GirthApx == nil || out.GirthApxErr != nil {
-		return ""
-	}
-	ceiling := RoundCeiling(out.Inst.Class, AlgoGirthApx, out.Inst.N, out.Diameter, out.Opts.Eps, out.Inst.MaxWeight())
-	if out.GirthApx.Rounds > ceiling {
-		return fmt.Sprintf("girthapx took %d rounds, over the theorem-shaped ceiling %d (n=%d, D=%d, maxW=%d)",
-			out.GirthApx.Rounds, ceiling, out.Inst.N, out.Diameter, out.Inst.MaxWeight())
 	}
 	return ""
 }
@@ -552,76 +391,4 @@ func oraclePlannerSound(out *Outcome) string {
 		}
 	}
 	return ""
-}
-
-// Algo names the portfolio entry points, for round ceilings and logs.
-type Algo string
-
-// Algorithms.
-const (
-	AlgoApprox   Algo = "approx"
-	AlgoExact    Algo = "exact"
-	AlgoAgarwal  Algo = "agarwal"
-	AlgoGirthApx Algo = "girthapx"
-)
-
-// Round-ceiling constants. The shapes come from the paper's theorems
-// (O~(sqrt n + D), O~(n^{4/5} + D), O~(n^{2/3} + D), O~(n) for the exact
-// baseline), with polylog factors made explicit as powers of log2 n —
-// plus, for the weighted approximations, a log2(maxW) factor for the
-// weight-scaling levels the O~ hides under the weights-poly(n) assumption.
-// Leading constants are calibrated empirically at roughly 4x the maximum
-// observed over the generator's classes and shapes up to n = 96 (see
-// TestRoundCeilingHolds). An unintentional regression that pushes any
-// algorithm past these budgets is a real performance bug.
-const (
-	ceilExact      = 8.0
-	ceilUndirected = 8.0
-	ceilDirected   = 8.0
-	ceilUW         = 24.0
-	ceilDW         = 24.0
-)
-
-// RoundCeiling returns the round budget the oracles enforce for algo on
-// the class at n vertices with communication diameter d and maximum edge
-// weight maxW (pass 1 for unweighted classes).
-func RoundCeiling(class congestmwc.Class, algo Algo, n, d int, eps float64, maxW int64) int {
-	if eps <= 0 {
-		eps = 0.25
-	}
-	if maxW < 1 {
-		maxW = 1
-	}
-	fn, fd := float64(n), float64(d)
-	lg := math.Log2(fn + 2)
-	lw := math.Log2(float64(maxW)) + 1
-	var budget float64
-	switch algo {
-	case AlgoExact:
-		budget = ceilExact * (fn*lg + fd)
-	case AlgoAgarwal:
-		// sqrt(n) batches of sqrt(n)-source runs plus a per-batch tree
-		// barrier; pruning only shrinks the real count below this.
-		budget = ceilExact * (fn*lg + math.Sqrt(fn)*(fd+lg) + fd)
-	case AlgoGirthApx:
-		// One sampled pass (the O(n) exchange dominates at harness sizes)
-		// plus the sigma-pruned stretched detection, whose radius is at
-		// most sigma*maxW (the sigma hop-nearest vertices are within
-		// sigma*maxW stretched distance). The harness only runs girthapx
-		// for maxW <= GirthApxWeightCap, keeping this budget small.
-		budget = ceilUndirected * (math.Sqrt(fn)*lg*lg + fn + fd +
-			(math.Sqrt(fn)+2)*float64(maxW))
-	default:
-		switch class {
-		case congestmwc.Undirected:
-			budget = ceilUndirected * (math.Sqrt(fn)*lg*lg + fd)
-		case congestmwc.Directed:
-			budget = ceilDirected * (math.Pow(fn, 0.8)*lg*lg*lg + fd)
-		case congestmwc.UndirectedWeighted:
-			budget = ceilUW * (math.Pow(fn, 2.0/3)*lg*lg*(lw+lg)/eps + fd)
-		default: // DirectedWeighted
-			budget = ceilDW * (math.Pow(fn, 0.8)*lg*lg*(lw+lg)/eps + fd)
-		}
-	}
-	return int(budget) + 1
 }

@@ -2,7 +2,9 @@ package check
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -23,8 +25,7 @@ func TestOraclesCleanOnGeneratedInstances(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				inst := ShapeInstance(rng, class, shape, 20)
 				vs, err := CheckInstance(inst, RunOptions{
-					Seed: int64(10*i + 1), Exact: true, Parallel: true, Cancel: true,
-					Agarwal: true, GirthApx: true,
+					Seed: int64(10*i + 1), Parallel: true, Cancel: true,
 				})
 				if err != nil {
 					t.Fatalf("%v/%s: %v", class, shape, err)
@@ -52,11 +53,11 @@ func TestZeroWeightRejectionIsExpected(t *testing.T) {
 		},
 		Label: ShapeZeroWeight,
 	}
-	out, err := Run(inst, RunOptions{Exact: true})
+	out, err := Run(inst, RunOptions{Algos: []string{congestmwc.AlgoNameApprox, congestmwc.AlgoNameExact}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ApproxErr == nil {
+	if out.Runs[congestmwc.AlgoNameApprox].Err == nil {
 		t.Fatal("expected the weighted pipeline to reject weight-0 edges")
 	}
 	if !out.RefFound || out.Ref != 4 {
@@ -68,27 +69,43 @@ func TestZeroWeightRejectionIsExpected(t *testing.T) {
 }
 
 // TestOracleCatchesWrongExactWeight: a doctored outcome (exact result off
-// by one) must trip exact-reference — the oracles cannot be vacuous.
+// by one either way) must trip exact-ratio and exact-sound — the oracles
+// cannot be vacuous.
 func TestOracleCatchesWrongExactWeight(t *testing.T) {
+	assertExactWeightChecked(t, congestmwc.AlgoNameExact)
+}
+
+// assertExactWeightChecked doctors an exact algorithm's weight on a ring
+// past and below the reference: the ratio oracle (bound = ref for exact
+// algorithms) and the soundness oracle must catch the two.
+func assertExactWeightChecked(t *testing.T, algo string) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(8))
 	inst := ShapeInstance(rng, congestmwc.Undirected, ShapeRing, 12)
-	out, err := Run(inst, RunOptions{Exact: true})
+	out, err := Run(inst, RunOptions{Algos: []string{algo}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Exact == nil || !out.Exact.Found {
-		t.Fatal("exact found no cycle on a ring")
+	res := out.Runs[algo].Res
+	if res == nil || !res.Found {
+		t.Fatalf("%s found no cycle on a ring", algo)
 	}
-	out.Exact.Weight++
-	found := false
-	for _, v := range Check(out) {
-		if v.Oracle == "exact-reference" {
-			found = true
+	for delta, oracle := range map[int64]string{+1: algo + "-ratio", -1: algo + "-sound"} {
+		res.Weight = out.Ref + delta
+		res.Cycle = nil
+		if !tripped(out)[oracle] {
+			t.Errorf("%s weight off by %+d not caught by %s", algo, delta, oracle)
 		}
 	}
-	if !found {
-		t.Fatal("doctored exact weight not caught by exact-reference")
+}
+
+// tripped is the set of oracles that fail on the outcome.
+func tripped(out *Outcome) map[string]bool {
+	trip := map[string]bool{}
+	for _, v := range Check(out) {
+		trip[v.Oracle] = true
 	}
+	return trip
 }
 
 // TestOracleCatchesBogusWitness: a corrupted witness cycle must trip the
@@ -96,14 +113,15 @@ func TestOracleCatchesWrongExactWeight(t *testing.T) {
 func TestOracleCatchesBogusWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	inst := ShapeInstance(rng, congestmwc.Undirected, ShapeRing, 12)
-	out, err := Run(inst, RunOptions{Exact: true})
+	out, err := Run(inst, RunOptions{Algos: []string{congestmwc.AlgoNameExact}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Exact == nil || len(out.Exact.Cycle) < 3 {
+	res := out.Runs[congestmwc.AlgoNameExact].Res
+	if res == nil || len(res.Cycle) < 3 {
 		t.Fatal("exact produced no witness on a ring")
 	}
-	out.Exact.Cycle = out.Exact.Cycle[:len(out.Exact.Cycle)-1]
+	res.Cycle = res.Cycle[:len(res.Cycle)-1]
 	found := false
 	for _, v := range Check(out) {
 		if v.Oracle == "exact-witness" {
@@ -116,27 +134,9 @@ func TestOracleCatchesBogusWitness(t *testing.T) {
 }
 
 // TestOracleCatchesWrongAgarwalWeight: a doctored agarwal result must trip
-// the bit-for-bit cross-check.
+// the bit-for-bit cross-check against the reference.
 func TestOracleCatchesWrongAgarwalWeight(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	inst := ShapeInstance(rng, congestmwc.Undirected, ShapeRing, 12)
-	out, err := Run(inst, RunOptions{Agarwal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Agarwal == nil || !out.Agarwal.Found {
-		t.Fatal("agarwal found no cycle on a ring")
-	}
-	out.Agarwal.Weight++
-	found := false
-	for _, v := range Check(out) {
-		if v.Oracle == "agarwal-reference" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("doctored agarwal weight not caught by agarwal-reference")
-	}
+	assertExactWeightChecked(t, "agarwal")
 }
 
 // TestOracleCatchesGirthApxRatioBreach: a doctored girthapx weight past
@@ -144,28 +144,21 @@ func TestOracleCatchesWrongAgarwalWeight(t *testing.T) {
 func TestOracleCatchesGirthApxRatioBreach(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	inst := ShapeInstance(rng, congestmwc.Undirected, ShapeRing, 12)
-	out, err := Run(inst, RunOptions{GirthApx: true})
+	out, err := Run(inst, RunOptions{Algos: []string{"girthapx"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.GirthApxRan || out.GirthApx == nil || !out.GirthApx.Found {
+	res := out.Runs["girthapx"].Res
+	if res == nil || !res.Found {
 		t.Fatal("girthapx found no cycle on a ring")
 	}
-	out.GirthApx.Weight = 2*out.Ref + 1
-	out.GirthApx.Cycle = nil
-	trip := map[string]bool{}
-	for _, v := range Check(out) {
-		trip[v.Oracle] = true
-	}
-	if !trip["girthapx-ratio"] {
+	res.Weight = 2*out.Ref + 1
+	res.Cycle = nil
+	if !tripped(out)["girthapx-ratio"] {
 		t.Fatal("ratio breach not caught by girthapx-ratio")
 	}
-	out.GirthApx.Weight = out.Ref - 1
-	trip = map[string]bool{}
-	for _, v := range Check(out) {
-		trip[v.Oracle] = true
-	}
-	if !trip["girthapx-sound"] {
+	res.Weight = out.Ref - 1
+	if !tripped(out)["girthapx-sound"] {
 		t.Fatal("undercut not caught by girthapx-sound")
 	}
 }
@@ -176,26 +169,28 @@ func TestOracleCatchesGirthApxRatioBreach(t *testing.T) {
 func TestGirthApxSkippedOutsideRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	directed := ShapeInstance(rng, congestmwc.Directed, ShapeRing, 10)
-	out, err := Run(directed, RunOptions{GirthApx: true})
+	opts := RunOptions{Algos: []string{"girthapx"}}
+	out, err := Run(directed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.GirthApxRan {
+	if _, ran := out.Runs["girthapx"]; ran {
 		t.Fatal("girthapx ran on a directed instance")
 	}
+	girthapx, _ := congestmwc.AlgorithmByName("girthapx")
 	heavy := ShapeInstance(rng, congestmwc.UndirectedWeighted, ShapeMaxWeight, 10)
-	if heavy.MaxWeight() <= GirthApxWeightCap {
+	if heavy.MaxWeight() <= girthapx.CheckMaxWeight {
 		t.Fatalf("max-weight shape stayed under the cap: %d", heavy.MaxWeight())
 	}
-	out, err = Run(heavy, RunOptions{GirthApx: true})
+	out, err = Run(heavy, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.GirthApxRan {
+	if _, ran := out.Runs["girthapx"]; ran {
 		t.Fatal("girthapx ran past the weight cap")
 	}
 	for _, v := range Check(out) {
-		if v.Oracle == "girthapx-error" || v.Oracle == "girthapx-sound" {
+		if strings.HasPrefix(v.Oracle, "girthapx-") {
 			t.Errorf("skipped girthapx produced a violation: %s", v)
 		}
 	}
@@ -204,22 +199,102 @@ func TestGirthApxSkippedOutsideRange(t *testing.T) {
 // TestRoundCeilingShape: ceilings grow with n, are positive, and the
 // weighted ones grow with the maximum weight.
 func TestRoundCeilingShape(t *testing.T) {
-	for _, class := range Classes {
-		for _, algo := range []Algo{AlgoApprox, AlgoExact, AlgoAgarwal, AlgoGirthApx} {
+	for _, a := range congestmwc.Portfolio() {
+		for _, class := range a.Classes {
 			prev := 0
 			for _, n := range []int{4, 16, 64, 256} {
-				c := RoundCeiling(class, algo, n, n/2, 0.25, 9)
+				c := a.RoundCeiling(class, n, n/2, 0.25, 9)
 				if c <= prev {
-					t.Errorf("%v/%s: ceiling not increasing at n=%d: %d <= %d", class, algo, n, c, prev)
+					t.Errorf("%v/%s: ceiling not increasing at n=%d: %d <= %d", class, a.Name, n, c, prev)
 				}
 				prev = c
 			}
 		}
 	}
-	small := RoundCeiling(congestmwc.UndirectedWeighted, AlgoApprox, 32, 5, 0.25, 2)
-	big := RoundCeiling(congestmwc.UndirectedWeighted, AlgoApprox, 32, 5, 0.25, 1<<30)
+	approx, _ := congestmwc.AlgorithmByName(congestmwc.AlgoNameApprox)
+	small := approx.RoundCeiling(congestmwc.UndirectedWeighted, 32, 5, 0.25, 2)
+	big := approx.RoundCeiling(congestmwc.UndirectedWeighted, 32, 5, 0.25, 1<<30)
 	if big <= small {
 		t.Errorf("weighted ceiling ignores maxW: %d <= %d", big, small)
+	}
+}
+
+// TestRegistryBoundsMatchGolden pins the registry-derived report bounds and
+// round ceilings to a table captured from the hand-written oracles they
+// replaced (testdata/bounds_golden.json): every (algorithm, served class)
+// pair, ref in {1, 3, 7, 1000}, eps in {0.25, 0.5} and four (n, D, maxW)
+// sizes. It keeps 2g-1 on undirected approx, 2*ref on girthapx with no
+// slack, ref on the exact engines, and the +2 rounding slack only on
+// weighted approx.
+func TestRegistryBoundsMatchGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/bounds_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Algo, Class      string
+		Eps              float64
+		N, D, Ceiling    int
+		Ref, MaxW, Bound int64
+	}
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	pairs := map[string]bool{}
+	for _, r := range rows {
+		a, ok := congestmwc.AlgorithmByName(r.Algo)
+		if !ok {
+			t.Fatalf("golden algorithm %q is not registered", r.Algo)
+		}
+		var class congestmwc.Class
+		for _, c := range a.Classes {
+			if c.String() == r.Class {
+				class = c
+			}
+		}
+		if class == 0 {
+			t.Fatalf("%s no longer serves %s", r.Algo, r.Class)
+		}
+		pairs[r.Algo+"/"+r.Class] = true
+		if got := a.Bound(class, r.Ref, r.Eps); got != r.Bound {
+			t.Errorf("%s/%s ref=%d eps=%v: bound %d, golden %d", r.Algo, r.Class, r.Ref, r.Eps, got, r.Bound)
+		}
+		if got := a.RoundCeiling(class, r.N, r.D, r.Eps, r.MaxW); got != r.Ceiling {
+			t.Errorf("%s/%s n=%d D=%d maxW=%d eps=%v: ceiling %d, golden %d",
+				r.Algo, r.Class, r.N, r.D, r.MaxW, r.Eps, got, r.Ceiling)
+		}
+	}
+	want := 0
+	for _, a := range congestmwc.Portfolio() {
+		want += len(a.Classes)
+	}
+	if len(pairs) != want || len(rows) != want*2*4*4 {
+		t.Fatalf("golden covers %d pairs in %d rows, registry has %d (algorithm, class) pairs", len(pairs), len(rows), want)
+	}
+}
+
+// TestHarnessRangeFromRegistry: the error oracle's zero-weight carve-out
+// and the instances girthapx runs on follow the registry, exactly as the
+// hand-written harness had them: approx and girthapx excuse weighted
+// zero-weight instances, exact and agarwal do not; girthapx runs on
+// undirected instances up to maxW 64.
+func TestHarnessRangeFromRegistry(t *testing.T) {
+	zero := Instance{Class: congestmwc.UndirectedWeighted, Edges: []congestmwc.Edge{{Weight: 0}}}
+	wantRejects := map[string]bool{"approx": true, "girthapx": true, "exact": false, "agarwal": false}
+	for _, a := range congestmwc.Portfolio() {
+		if got := expectedReject(a, zero); got != wantRejects[a.Name] {
+			t.Errorf("%s: zero-weight rejection excused=%v, want %v", a.Name, got, wantRejects[a.Name])
+		}
+	}
+	girthapx, _ := congestmwc.AlgorithmByName("girthapx")
+	for _, c := range Classes {
+		for _, w := range []int64{1, 64, 65} {
+			inst := Instance{Class: c, Edges: []congestmwc.Edge{{Weight: w}}}
+			want := (c == congestmwc.Undirected || c == congestmwc.UndirectedWeighted) && inst.MaxWeight() <= 64
+			if got := inRange(girthapx, inst); got != want {
+				t.Errorf("girthapx on %s maxW=%d: runs=%v, want %v", c, inst.MaxWeight(), got, want)
+			}
+		}
 	}
 }
 

@@ -2,13 +2,18 @@ package congestmwc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"congestmwc/internal/agarwal"
 	"congestmwc/internal/congest"
+	"congestmwc/internal/dirmwc"
+	"congestmwc/internal/exact"
+	"congestmwc/internal/girth"
 	"congestmwc/internal/girthapx"
+	"congestmwc/internal/wmwc"
 )
 
 // Algorithm names of the portfolio. "approx" and "exact" are the legacy
@@ -23,8 +28,11 @@ const (
 )
 
 // AlgorithmInfo describes one registered algorithm of the portfolio: which
-// classes it serves, the approximation guarantee it is registered for, and
-// a calibrated round-cost model the planner ranks candidates by.
+// classes it serves, the guarantee it is registered for, the bounds the
+// oracle harness (internal/check) enforces on it, a calibrated round-cost
+// model the planner ranks candidates by, and the entry point every run goes
+// through. It is the one list of algorithms: the CLIs, the oracle harness,
+// the conformance matrix and the bench profile all iterate Portfolio().
 type AlgorithmInfo struct {
 	// Name is the registry key, used in job specs and CLI flags.
 	Name string
@@ -35,28 +43,44 @@ type AlgorithmInfo struct {
 	// Exact reports whether the registered ratio is exactly 1 on every
 	// served class.
 	Exact bool
-	// Deterministic reports whether the algorithm uses no shared
-	// randomness (its round count and answer depend only on the instance).
-	Deterministic bool
 	// RejectsZeroWeight reports that the algorithm declines weighted
 	// instances containing zero-weight edges (the scaling/stretched
-	// machinery needs weights >= 1). The planner filters on it.
+	// machinery needs weights >= 1). The planner filters on it and the
+	// oracle harness excuses the rejection.
 	RejectsZeroWeight bool
 	// GirthFactor reports that, on the undirected unweighted class, the
 	// algorithm attains the paper's (2 - 1/g) girth factor — strictly
 	// inside plain factor 2, and the only way (besides exactness) to meet
 	// the "girth" guarantee.
 	GirthFactor bool
+	// CheckMaxWeight, when positive, caps the edge weights of the
+	// instances the oracle harness runs the algorithm on: above it a
+	// pseudo-polynomial phase would stall a fuzz soak. It is a harness
+	// range, not a correctness limit.
+	CheckMaxWeight int64
 	// Ratio returns the registered approximation factor on the class (1
-	// for exact algorithms). The bound is what the oracle registry in
-	// internal/check enforces on every fuzz instance.
+	// for exact algorithms); the planner matches guarantees against it.
 	Ratio func(class Class, eps float64) float64
+	// Bound returns the largest weight the algorithm may report on the
+	// class when the minimum weight cycle weighs ref: the registered
+	// guarantee in integer form, which the oracle harness enforces on every
+	// fuzz instance (ref itself for exact algorithms).
+	Bound func(class Class, ref int64, eps float64) int64
+	// RoundCeiling is the theorem-shaped round budget the oracle harness
+	// enforces at n vertices, communication diameter d and maximum edge
+	// weight maxW (1 on unweighted classes).
+	RoundCeiling func(class Class, n, d int, eps float64, maxW int64) int
 	// EstimateRounds is the planner's cost model: a round estimate from
 	// instance features, theorem-shaped with constants calibrated against
 	// the committed bench baselines (bench/portfolio_baseline.json).
 	EstimateRounds func(class Class, n, m int, maxW int64, eps float64) float64
-
-	run func(ctx context.Context, g *Graph, opts Options) (*Result, error)
+	// RunNetwork runs the algorithm on a prepared network of the class and
+	// returns its answer (Weight, Found, Cycle); the traffic counters stay
+	// on the network. Its type names internal/congest, so like
+	// Options.WithObserver it is usable only inside the module.
+	// RunAlgorithmCtx wraps it with validation, cancellation and the
+	// observer.
+	RunNetwork func(net *congest.Network, class Class, opts Options) (*Result, error)
 }
 
 // ServesClass reports whether the algorithm is registered for the class.
@@ -69,13 +93,15 @@ func (a AlgorithmInfo) ServesClass(c Class) bool {
 	return false
 }
 
+var allClasses = []Class{Undirected, Directed, UndirectedWeighted, DirectedWeighted}
+
 // portfolio is the fixed algorithm registry. Order is presentation order;
 // the planner re-sorts by estimated cost.
 var portfolio = []AlgorithmInfo{
 	{
 		Name:        AlgoNameApprox,
 		Description: "the source paper's sublinear-round approximation for the graph's class",
-		Classes:     []Class{Undirected, Directed, UndirectedWeighted, DirectedWeighted},
+		Classes:     allClasses,
 		// wmwc's scaling levels need weights >= 1 on the weighted classes.
 		RejectsZeroWeight: true,
 		GirthFactor:       true,
@@ -87,46 +113,128 @@ var portfolio = []AlgorithmInfo{
 				return 2 + epsOrDefault(eps)
 			}
 		},
+		Bound:          boundApprox,
+		RoundCeiling:   roundCeiling(ceilApprox),
 		EstimateRounds: estApprox,
-		run:            ApproxMWCCtx,
+		RunNetwork:     runApprox,
 	},
 	{
-		Name:          AlgoNameExact,
-		Description:   "O~(n)-round exact MWC via n-source APSP",
-		Classes:       []Class{Undirected, Directed, UndirectedWeighted, DirectedWeighted},
-		Exact:         true,
-		Deterministic: true,
-		Ratio:         func(Class, float64) float64 { return 1 },
+		Name:         AlgoNameExact,
+		Description:  "O~(n)-round exact MWC via n-source APSP",
+		Classes:      allClasses,
+		Exact:        true,
+		Ratio:        ratioOne,
+		Bound:        boundExact,
+		RoundCeiling: roundCeiling(ceilExactAPSP),
 		EstimateRounds: func(c Class, n, m int, maxW int64, eps float64) float64 {
 			return estExact(c, n, m, maxW)
 		},
-		run: ExactMWCCtx,
+		RunNetwork: func(net *congest.Network, _ Class, _ Options) (*Result, error) {
+			res, err := exact.MWC(net)
+			if err != nil {
+				return nil, err
+			}
+			return answer(res.Weight, res.Found, res.Cycle), nil
+		},
 	},
 	{
-		Name:          AlgoNameAgarwal,
-		Description:   "deterministic exact MWC via batched k-source SSSP with candidate pruning",
-		Classes:       []Class{Undirected, Directed, UndirectedWeighted, DirectedWeighted},
-		Exact:         true,
-		Deterministic: true,
-		Ratio:         func(Class, float64) float64 { return 1 },
+		Name:         AlgoNameAgarwal,
+		Description:  "deterministic exact MWC via batched k-source SSSP with candidate pruning",
+		Classes:      allClasses,
+		Exact:        true,
+		Ratio:        ratioOne,
+		Bound:        boundExact,
+		RoundCeiling: roundCeiling(ceilAgarwal),
 		EstimateRounds: func(c Class, n, m int, maxW int64, eps float64) float64 {
 			return estAgarwal(c, n, m, maxW)
 		},
-		run: AgarwalMWCCtx,
+		RunNetwork: func(net *congest.Network, _ Class, _ Options) (*Result, error) {
+			res, err := agarwal.MWC(net, agarwal.Spec{})
+			if err != nil {
+				return nil, err
+			}
+			return answer(res.Weight, res.Found, res.Cycle), nil
+		},
 	},
 	{
 		Name:        AlgoNameGirthApx,
 		Description: "factor-2 undirected girth approximation from one exact sampled SSSP pass",
 		Classes:     []Class{Undirected, UndirectedWeighted},
 		// The sigma-detection phase runs on the stretched-graph simulation,
-		// which needs weights >= 1.
+		// which needs weights >= 1 and whose round count is
+		// pseudo-polynomial in the weights: the generator's near-2^30 weight
+		// shapes would stall a soak. The planner prices this in
+		// (estGirthApx grows linearly with maxW), so the harness cap mirrors
+		// the region where the algorithm is actually eligible to win.
 		RejectsZeroWeight: true,
+		CheckMaxWeight:    64,
 		Ratio:             func(Class, float64) float64 { return 2 },
+		// A plain 2, slack 0: on the unweighted class the (2g-1) girth
+		// bound is even tighter, but 2*ref is what the portfolio promises
+		// and the planner relies on.
+		Bound:        func(_ Class, ref int64, _ float64) int64 { return 2 * ref },
+		RoundCeiling: roundCeiling(ceilGirthApx),
 		EstimateRounds: func(c Class, n, m int, maxW int64, eps float64) float64 {
 			return estGirthApx(c, n, m, maxW)
 		},
-		run: GirthApxMWCCtx,
+		RunNetwork: func(net *congest.Network, _ Class, opts Options) (*Result, error) {
+			res, err := girthapx.Run(net, girthapx.Spec{SampleFactor: opts.SampleFactor})
+			if err != nil {
+				return nil, err
+			}
+			return answer(res.Weight, res.Found, res.Cycle), nil
+		},
 	},
+}
+
+// runApprox dispatches the source paper's approximation on the class.
+func runApprox(net *congest.Network, c Class, opts Options) (*Result, error) {
+	switch c {
+	case Undirected:
+		res, err := girth.Run(net, girth.Spec{SampleFactor: opts.SampleFactor})
+		if err != nil {
+			return nil, err
+		}
+		return answer(res.Weight, res.Found, res.Cycle), nil
+	case Directed:
+		res, err := dirmwc.Run(net, dirmwc.Spec{SampleFactor: opts.SampleFactor})
+		if err != nil {
+			return nil, err
+		}
+		return answer(res.Weight, res.Found, res.Cycle), nil
+	default:
+		res, err := wmwc.Run(net, wmwc.Spec{Eps: epsOrDefault(opts.Eps), SampleFactor: opts.SampleFactor})
+		if err != nil {
+			return nil, err
+		}
+		return answer(res.Weight, res.Found, res.Cycle), nil
+	}
+}
+
+// answer is an algorithm package's result in facade form, before the run
+// path adds the traffic counters.
+func answer(weight int64, found bool, cycle []int) *Result {
+	return &Result{Weight: weight, Found: found, Cycle: cycle}
+}
+
+func ratioOne(Class, float64) float64 { return 1 }
+
+func boundExact(_ Class, ref int64, _ float64) int64 { return ref }
+
+// boundApprox is the largest weight the paper's theorems permit: (2 -
+// 1/g)*g = 2g - 1 for the undirected girth (Theorem 1.3.B), 2*MWC for
+// directed unweighted (Theorem 1.2.C) and (2+eps)*MWC for the weighted
+// classes (Theorems 1.2.D, 1.4.C). A small additive slack (+2) absorbs
+// integer rounding in the weighted pipeline.
+func boundApprox(c Class, ref int64, eps float64) int64 {
+	switch c {
+	case Undirected:
+		return 2*ref - 1
+	case Directed:
+		return 2 * ref
+	default:
+		return int64(math.Ceil((2+epsOrDefault(eps))*float64(ref))) + 2
+	}
 }
 
 func epsOrDefault(eps float64) float64 {
@@ -203,6 +311,81 @@ func estGirthApx(c Class, n, m int, maxW int64) float64 {
 	return 1.8*math.Sqrt(fn)*lg + 1.2*fn
 }
 
+// Round ceilings: the budgets the oracle harness enforces. The shapes come
+// from the theorems (O~(sqrt n + D), O~(n^{4/5} + D), O~(n^{2/3} + D), O~(n)
+// for the exact engines), with polylog factors made explicit as powers of
+// log2 n — plus, for the weighted approximations, a log2(maxW) factor for
+// the weight-scaling levels the O~ hides under the weights-poly(n)
+// assumption. Leading constants are calibrated empirically at roughly 4x
+// the maximum observed over the generator's classes and shapes up to n = 96
+// (internal/check's TestOraclesCleanOnGeneratedInstances and the mwcfuzz
+// soak). An unintentional regression that pushes any algorithm past these
+// budgets is a real performance bug.
+const (
+	ceilExact      = 8.0
+	ceilUndirected = 8.0
+	ceilDirected   = 8.0
+	ceilUW         = 24.0
+	ceilDW         = 24.0
+)
+
+// ceilTerms are the quantities every round ceiling is shaped from.
+type ceilTerms struct {
+	n, d   float64 // vertices and communication diameter
+	lg, lw float64 // log2(n+2) and log2(maxW)+1
+	maxW   float64
+	eps    float64
+}
+
+// roundCeiling adapts a budget over ceilTerms to AlgorithmInfo.RoundCeiling,
+// defaulting eps like the facade and clamping maxW to at least 1.
+func roundCeiling(budget func(Class, ceilTerms) float64) func(Class, int, int, float64, int64) int {
+	return func(c Class, n, d int, eps float64, maxW int64) int {
+		if maxW < 1 {
+			maxW = 1
+		}
+		fn := float64(n)
+		t := ceilTerms{
+			n: fn, d: float64(d),
+			lg: math.Log2(fn + 2), lw: math.Log2(float64(maxW)) + 1,
+			maxW: float64(maxW), eps: epsOrDefault(eps),
+		}
+		return int(budget(c, t)) + 1
+	}
+}
+
+func ceilApprox(c Class, t ceilTerms) float64 {
+	switch c {
+	case Undirected:
+		return ceilUndirected * (math.Sqrt(t.n)*t.lg*t.lg + t.d)
+	case Directed:
+		return ceilDirected * (math.Pow(t.n, 0.8)*t.lg*t.lg*t.lg + t.d)
+	case UndirectedWeighted:
+		return ceilUW * (math.Pow(t.n, 2.0/3)*t.lg*t.lg*(t.lw+t.lg)/t.eps + t.d)
+	default: // DirectedWeighted
+		return ceilDW * (math.Pow(t.n, 0.8)*t.lg*t.lg*(t.lw+t.lg)/t.eps + t.d)
+	}
+}
+
+func ceilExactAPSP(_ Class, t ceilTerms) float64 {
+	return ceilExact * (t.n*t.lg + t.d)
+}
+
+// ceilAgarwal: sqrt(n) batches of sqrt(n)-source runs plus a per-batch tree
+// barrier; pruning only shrinks the real count below this.
+func ceilAgarwal(_ Class, t ceilTerms) float64 {
+	return ceilExact * (t.n*t.lg + math.Sqrt(t.n)*(t.d+t.lg) + t.d)
+}
+
+// ceilGirthApx: one sampled pass (the O(n) exchange dominates at harness
+// sizes) plus the sigma-pruned stretched detection, whose radius is at most
+// sigma*maxW (the sigma hop-nearest vertices are within sigma*maxW
+// stretched distance). CheckMaxWeight keeps this budget small.
+func ceilGirthApx(_ Class, t ceilTerms) float64 {
+	return ceilUndirected * (math.Sqrt(t.n)*t.lg*t.lg + t.n + t.d +
+		(math.Sqrt(t.n)+2)*t.maxW)
+}
+
 // Portfolio returns a copy of the registered algorithm descriptors.
 func Portfolio() []AlgorithmInfo {
 	out := make([]AlgorithmInfo, len(portfolio))
@@ -236,10 +419,15 @@ func RunAlgorithm(name string, g *Graph, opts Options) (*Result, error) {
 	return RunAlgorithmCtx(context.Background(), name, g, opts)
 }
 
-// RunAlgorithmCtx executes the named portfolio algorithm under a context,
-// with the same cancellation and partial-progress semantics as
-// ApproxMWCCtx. Unknown names and unsupported graph classes return
-// descriptive errors before any simulation runs.
+// RunAlgorithmCtx executes the named portfolio algorithm under a context.
+// It is the one run path of the facade: unknown names, unsupported graph
+// classes and invalid options return descriptive errors before any
+// simulation runs. When ctx is canceled or its deadline passes, the
+// in-flight simulation stops within one executed round and the call
+// returns an error satisfying errors.Is against ctx.Err(); the returned
+// Result is then non-nil with Found == false and carries the partial
+// Rounds/Messages/Words of the aborted run, so callers can report how much
+// work was executed.
 func RunAlgorithmCtx(ctx context.Context, name string, g *Graph, opts Options) (*Result, error) {
 	a, ok := AlgorithmByName(name)
 	if !ok {
@@ -248,19 +436,6 @@ func RunAlgorithmCtx(ctx context.Context, name string, g *Graph, opts Options) (
 	if !a.ServesClass(g.class) {
 		return nil, fmt.Errorf("congestmwc: algorithm %q does not serve class %s", name, g.class)
 	}
-	return a.run(ctx, g, opts)
-}
-
-// AgarwalMWC computes the exact minimum weight cycle with the batched
-// deterministic k-source algorithm of internal/agarwal. It is
-// AgarwalMWCCtx with a background context.
-func AgarwalMWC(g *Graph, opts Options) (*Result, error) {
-	return AgarwalMWCCtx(context.Background(), g, opts)
-}
-
-// AgarwalMWCCtx is AgarwalMWC under a context, with the same cancellation
-// and partial-progress semantics as ApproxMWCCtx.
-func AgarwalMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,44 +447,14 @@ func AgarwalMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error)
 	if opts.observer != nil {
 		net.SetObserver(opts.observer)
 	}
-	res, err := agarwal.MWC(net, agarwal.Spec{})
+	res, err := a.RunNetwork(net, g.class, opts)
 	if err != nil {
-		return partialOnCancel(net, err)
+		if !errors.Is(err, congest.ErrCanceled) {
+			return nil, fmt.Errorf("congestmwc: %w", err)
+		}
+		res, err = &Result{}, fmt.Errorf("congestmwc: %w", err)
 	}
-	out := newResult(res.Weight, res.Found, net.Stats())
-	out.Cycle = res.Cycle
-	return out, nil
-}
-
-// GirthApxMWC computes a factor-2 approximate minimum weight cycle on
-// undirected graphs with internal/girthapx. It is GirthApxMWCCtx with a
-// background context.
-func GirthApxMWC(g *Graph, opts Options) (*Result, error) {
-	return GirthApxMWCCtx(context.Background(), g, opts)
-}
-
-// GirthApxMWCCtx is GirthApxMWC under a context, with the same
-// cancellation and partial-progress semantics as ApproxMWCCtx.
-func GirthApxMWCCtx(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if g.class != Undirected && g.class != UndirectedWeighted {
-		return nil, fmt.Errorf("congestmwc: girthapx serves undirected classes only, not %s", g.class)
-	}
-	net, err := congest.NewNetwork(g.g, opts.netOptions())
-	if err != nil {
-		return nil, fmt.Errorf("congestmwc: %w", err)
-	}
-	net.SetContext(ctx)
-	if opts.observer != nil {
-		net.SetObserver(opts.observer)
-	}
-	res, err := girthapx.Run(net, girthapx.Spec{SampleFactor: opts.SampleFactor})
-	if err != nil {
-		return partialOnCancel(net, err)
-	}
-	out := newResult(res.Weight, res.Found, net.Stats())
-	out.Cycle = res.Cycle
-	return out, nil
+	s := net.Stats()
+	res.Rounds, res.Messages, res.Words = s.Rounds, s.Messages, s.Words
+	return res, err
 }

@@ -23,7 +23,8 @@ func TestPortfolioRegistryShape(t *testing.T) {
 		}
 	}
 	for _, a := range Portfolio() {
-		if a.Description == "" || len(a.Classes) == 0 || a.Ratio == nil || a.EstimateRounds == nil || a.run == nil {
+		if a.Description == "" || len(a.Classes) == 0 || a.Ratio == nil || a.Bound == nil ||
+			a.RoundCeiling == nil || a.EstimateRounds == nil || a.RunNetwork == nil {
 			t.Fatalf("incomplete registry entry %q", a.Name)
 		}
 		for _, c := range a.Classes {
@@ -121,10 +122,7 @@ func TestRunAlgorithmErrors(t *testing.T) {
 	if _, err := RunAlgorithm(AlgoNameGirthApx, g, Options{}); err == nil || !strings.Contains(err.Error(), "does not serve") {
 		t.Fatalf("class mismatch: %v", err)
 	}
-	if _, err := GirthApxMWC(g, Options{}); err == nil {
-		t.Fatal("GirthApxMWC accepted a directed graph")
-	}
-	if _, err := AgarwalMWC(g, Options{Bandwidth: -1}); err == nil {
+	if _, err := RunAlgorithm(AlgoNameAgarwal, g, Options{Bandwidth: -1}); err == nil {
 		t.Fatal("invalid options accepted")
 	}
 }
@@ -137,7 +135,7 @@ func TestAgarwalMWCCancellation(t *testing.T) {
 	g := &Graph{g: gg, class: UndirectedWeighted}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := AgarwalMWCCtx(ctx, g, Options{Seed: 3})
+	res, err := RunAlgorithmCtx(ctx, AlgoNameAgarwal, g, Options{Seed: 3})
 	if err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
