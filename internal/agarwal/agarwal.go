@@ -174,36 +174,15 @@ func MWC(net *congest.Network, spec Spec) (*Result, error) {
 			}
 		} else {
 			net.BeginPhase("agarwal:exchange")
-			recv, err := exchangeBatch(net, res, len(batch))
+			// Inf entries are not sent: they are the receiver's default.
+			recv, err := proto.ExchangeDistPred(net, res, tagBatchVec, nil)
 			net.EndPhase()
 			if err != nil {
 				return nil, fmt.Errorf("agarwal: exchange at %d: %w", lo, err)
 			}
-			w := len(batch)
-			for x := 0; x < n; x++ {
-				for ai, a := range g.Out(x) {
-					y := a.To
-					for i := 0; i < w; i++ {
-						dx := res.Dist[x][i]
-						if dx >= seq.Inf {
-							continue
-						}
-						dy := recv[x][ai][i]
-						if dy >= seq.Inf {
-							continue
-						}
-						// Non-tree exclusion: neither endpoint's pred for the
-						// batch source may be the other endpoint.
-						if int(res.Pred[x][i]) == y || int(recv[x][ai][w+i]) == x {
-							continue
-						}
-						if c := dx + a.Weight + dy; c < mu[x] {
-							mu[x] = c
-							witnesses[x] = witnessInfo{res: res, field: i, src: lo + i, at: x, via: y}
-						}
-					}
-				}
-			}
+			proto.NonTreeScan{Res: res, Recv: recv}.Scan(g, mu, func(x, y, i int) {
+				witnesses[x] = witnessInfo{res: res, field: i, src: lo + i, at: x, via: y}
+			})
 		}
 
 		net.BeginPhase("agarwal:convergecast")
@@ -254,70 +233,4 @@ func buildWitness(g *graph.Graph, w witnessInfo) []int {
 		return nil
 	}
 	return cycle
-}
-
-// exchangeBatch sends each node's k-wide distance+pred vector for the
-// current batch to every neighbour in O(k) pipelined rounds. recv[x][ai]
-// holds the vector of the neighbour reached by the ai-th out-arc of x:
-// entries [0,k) are distances, entries [k,2k) are predecessors.
-func exchangeBatch(net *congest.Network, res *proto.MultiBFSResult, k int) ([][][]int64, error) {
-	g := net.Graph()
-	n := g.N()
-	byID := make([]map[int][]int64, n)
-	for v := range byID {
-		byID[v] = make(map[int][]int64)
-	}
-	fresh := func() []int64 {
-		vec := make([]int64, 2*k)
-		for i := 0; i < k; i++ {
-			vec[i] = seq.Inf
-			vec[k+i] = -1
-		}
-		return vec
-	}
-	progs := make([]congest.Program, n)
-	for v := 0; v < n; v++ {
-		v := v
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				for _, u := range nd.Neighbors() {
-					for i := 0; i < k; i++ {
-						if res.Dist[v][i] >= seq.Inf {
-							continue // Inf entries are the receiver's default
-						}
-						nd.SendTag(u, tagBatchVec, int64(i), res.Dist[v][i], int64(res.Pred[v][i]))
-					}
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagBatchVec {
-					return
-				}
-				vec := byID[v][d.From]
-				if vec == nil {
-					vec = fresh()
-					byID[v][d.From] = vec
-				}
-				i := int(d.Msg.Words[0])
-				vec[i] = d.Msg.Words[1]
-				vec[k+i] = d.Msg.Words[2]
-			},
-		}
-	}
-	if _, err := net.Run(progs, 0); err != nil {
-		return nil, err
-	}
-	out := make([][][]int64, n)
-	for x := 0; x < n; x++ {
-		arcs := g.Out(x)
-		out[x] = make([][]int64, len(arcs))
-		for ai, a := range arcs {
-			vec := byID[x][a.To]
-			if vec == nil {
-				vec = fresh()
-			}
-			out[x][ai] = vec
-		}
-	}
-	return out, nil
 }

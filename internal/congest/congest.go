@@ -76,7 +76,6 @@ package congest
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"runtime"
 	"sort"
 
@@ -266,10 +265,7 @@ func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 		for i, u := range neighbors[v] {
 			net.tr.links[net.linkOff[v]+int32(i)] = link{owner: int32(v), to: int32(u)}
 		}
-		st := &nodeState{
-			neighbors: neighbors[v],
-			rng:       rand.New(rand.NewSource(opts.Seed*1_000_003 + int64(v))),
-		}
+		st := &nodeState{neighbors: neighbors[v]}
 		st.node = Node{net: net, id: v, st: st}
 		net.nodes[v] = st
 	}
@@ -307,6 +303,11 @@ func (net *Network) canceled() bool {
 
 // Graph returns the input graph the network was built from.
 func (net *Network) Graph() *graph.Graph { return net.g }
+
+// Neighbors returns node v's deduplicated, sorted communication neighbours:
+// entry i is the neighbour behind v's i-th link, the same slice handlers
+// see as Node.Neighbors. It must not be modified.
+func (net *Network) Neighbors(v int) []int { return net.nodes[v].neighbors }
 
 // Options returns the options the network was built with.
 func (net *Network) Options() Options { return net.opts }

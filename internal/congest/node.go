@@ -8,20 +8,20 @@ import (
 )
 
 // nodeState is the engine-side state of one node: its communication
-// neighbourhood, inbox, PRNG and the per-round scratch the handlers fill in
-// (wake-up requests, links first written to this round). The node's outgoing
-// links live in the transport's flat link arena, in the contiguous ID range
-// Network.linkOff[v]..Network.linkOff[v+1]; entry i of that range is the
-// link to neighbors[i]. Handlers mutate only their own nodeState and their
-// own outgoing links, which is what makes the parallel engine safe without
-// locks.
+// neighbourhood, inbox, lazily created PRNG and the per-round scratch the
+// handlers fill in (wake-up requests, links first written to this round).
+// The node's outgoing links live in the transport's flat link arena, in the
+// contiguous ID range Network.linkOff[v]..Network.linkOff[v+1]; entry i of
+// that range is the link to neighbors[i]. Handlers mutate only their own
+// nodeState and their own outgoing links, which is what makes the parallel
+// engine safe without locks.
 type nodeState struct {
 	neighbors []int // deduplicated, sorted communication neighbours
 	inbox     []Delivery
-	inWords   []int64 // arena backing the inbox's payload views, truncated with it
-	rng       *rand.Rand
-	wakes     []int   // wake-up rounds requested during handlers (drained post-handler)
-	touched   []int32 // link IDs first written to during this round's handlers
+	inWords   []int64    // arena backing the inbox's payload views, truncated with it
+	rng       *rand.Rand // nil until the node's first Rand call
+	wakes     []int      // wake-up rounds requested during handlers (drained post-handler)
+	touched   []int32    // link IDs first written to during this round's handlers
 	program   Program
 	node      Node // reusable handle passed to handlers (avoids per-activation allocation)
 }
@@ -71,8 +71,16 @@ func (nd *Node) Comm() []graph.Arc { return nd.net.g.Comm(nd.id) }
 // slice must not be modified.
 func (nd *Node) Neighbors() []int { return nd.st.neighbors }
 
-// Rand returns the node's PRNG.
-func (nd *Node) Rand() *rand.Rand { return nd.st.rng }
+// Rand returns the node's PRNG, seeded from Options.Seed and the node ID.
+// It is created on the first call: most programs never draw, and seeding a
+// source per node per network dominated small runs. Only the node's own
+// handlers call it, so the parallel engine needs no lock.
+func (nd *Node) Rand() *rand.Rand {
+	if nd.st.rng == nil {
+		nd.st.rng = rand.New(rand.NewSource(nd.net.opts.Seed*1_000_003 + int64(nd.id)))
+	}
+	return nd.st.rng
+}
 
 // linkTo returns the index of `to` in the node's sorted neighbor list, or
 // -1. Binary search over the CSR neighbor row — no per-node lookup map.

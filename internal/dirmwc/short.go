@@ -52,8 +52,11 @@ func buildR(n int, sp *shortSpec, seed int64) [][]int32 {
 		groups[i%beta] = append(groups[i%beta], p)
 	}
 	rs := make([][]int32, n)
+	rng := rand.New(rand.NewSource(0))
 	for v := 0; v < n; v++ {
-		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(v) + sp.salt*7))
+		// Re-seeding draws exactly what a fresh source would, without
+		// allocating one per node.
+		rng.Seed(seed*1_000_003 + int64(v) + sp.salt*7)
 		var r []int32
 		// covered(s, t): the line-7 condition d(s,t) + 2d(v,s) <=
 		// d(t,s) + 2d(v,t) FAILING for some t in R(v) means s is covered.
@@ -92,50 +95,15 @@ func minInf(d int64) int64 {
 }
 
 // exchangeVectors sends every node's (d(v -> s), d(s -> v)) vectors to each
-// neighbour in O(|S|) pipelined rounds and returns nbr[v][neighbor] =
-// (distB row, distF row) of that neighbour.
-func exchangeVectors(net *congest.Network, sp *shortSpec) ([]map[int][2][]int64, error) {
-	n := net.Graph().N()
-	k := len(sp.s)
-	recv := make([]map[int][2][]int64, n)
-	for v := range recv {
-		recv[v] = make(map[int][2][]int64)
-	}
-	progs := make([]congest.Program, n)
-	for v := 0; v < n; v++ {
-		v := v
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				for _, u := range nd.Neighbors() {
-					for j := 0; j < k; j++ {
-						nd.SendTag(u, tagVectors, int64(j), sp.distB[v][j], sp.distF[v][j])
-					}
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagVectors {
-					return
-				}
-				ent, ok := recv[v][d.From]
-				if !ok {
-					b := make([]int64, k)
-					f := make([]int64, k)
-					for i := range b {
-						b[i], f[i] = seq.Inf, seq.Inf
-					}
-					ent = [2][]int64{b, f}
-				}
-				j := int(d.Msg.Words[0])
-				ent[0][j] = d.Msg.Words[1]
-				ent[1][j] = d.Msg.Words[2]
-				recv[v][d.From] = ent
-			},
-		}
-	}
-	if _, err := net.Run(progs, 0); err != nil {
-		return nil, err
-	}
-	return recv, nil
+// neighbour in O(|S|) pipelined rounds. Field j of a neighbour's row is the
+// pair (distB, distF) of that neighbour for S[j].
+func exchangeVectors(net *congest.Network, sp *shortSpec) (*proto.Received, error) {
+	return proto.Exchange(net, proto.ExchangeSpec{
+		Tag: tagVectors, Fields: len(sp.s),
+		Value: func(v, j int) (proto.Pair, bool) {
+			return proto.Pair{A: sp.distB[v][j], B: sp.distF[v][j]}, true
+		},
+	})
 }
 
 // rbfsState is the per-node state of the restricted BFS (lines 13-22).
@@ -144,18 +112,18 @@ type rbfsState struct {
 	v     int
 	sp    *shortSpec
 	g     *graph.Graph
-	rOf   []int32 // R(v) sample indices
-	dT    []int64 // d(v, t) for t in R(v)
-	nbr   map[int][2][]int64
-	start int // wake round for originating own BFS
+	rOf   []int32         // R(v) sample indices
+	dT    []int64         // d(v, t) for t in R(v)
+	nbr   *proto.Received // the neighbours' (distB, distF) rows
+	start int             // wake round for originating own BFS
 
 	best      map[int32]int64
-	srcR      map[int32][]int32
-	srcDT     map[int32][]int64
 	srcPred   map[int32]int32 // predecessor toward the source (witnesses)
 	z         *bool           // overflow flag, shared with orchestrator
 	lastRound int
 	newCnt    int
+	rbuf      []int32 // scratch: R(src) parsed from a delivered Q(src)
+	words     []int64 // scratch payload of the node's RBFS sends
 }
 
 // member tests u in P(y) (line 22): for every t in R(y),
@@ -163,13 +131,14 @@ type rbfsState struct {
 // that unknown (beyond-bound) distances err toward inclusion except when
 // the left side is known-infinite and the right side finite.
 func (st *rbfsState) member(u int, r []int32, dyT []int64, dStar int64) bool {
-	vec, ok := st.nbr[u]
-	if !ok {
+	slot := st.nbr.Slot(st.v, u)
+	if slot < 0 {
 		return false
 	}
+	row := st.nbr.Row(st.v, slot)
 	for i, t := range r {
-		lhs := satAdd(vec[0][t], 2*dStar)
-		rhs := satAdd(vec[1][t], 2*dyT[i])
+		lhs := satAdd(row[t].A, 2*dStar)
+		rhs := satAdd(row[t].B, 2*dyT[i])
 		if lhs > rhs {
 			return false
 		}
@@ -193,12 +162,13 @@ func (st *rbfsState) forward(nd *congest.Node, src int32, d int64, r []int32, dy
 		if !st.member(a.To, r, dyT, dStar) {
 			continue
 		}
-		words := make([]int64, 0, 3+2*len(r))
-		words = append(words, int64(src), dStar, int64(len(r)))
+		// Send copies the payload, so one scratch buffer serves every send.
+		words := append(st.words[:0], int64(src), dStar, int64(len(r)))
 		for _, t := range r {
 			words = append(words, int64(t))
 		}
 		words = append(words, dyT...)
+		st.words = words
 		nd.Send(a.To, congest.Msg{Tag: tagRBFS, Words: words})
 	}
 }
@@ -235,21 +205,22 @@ func (st *rbfsState) Deliver(nd *congest.Node, d congest.Delivery) {
 		if st.newCnt > st.sp.cap {
 			// Phase-overflow vertex (line 19/21): terminate.
 			*st.z = true
-			st.best, st.srcR, st.srcDT, st.srcPred = nil, nil, nil, nil
+			st.best, st.srcPred = nil, nil
 			return
 		}
 	}
 	if seen && dist >= old {
 		return
 	}
-	r := make([]int32, nr)
+	// Q(src) is used only to forward within this handler: parse it into
+	// the node's scratch.
+	r := st.rbuf[:0]
 	for i := 0; i < nr; i++ {
-		r[i] = int32(w[3+i])
+		r = append(r, int32(w[3+i]))
 	}
+	st.rbuf = r
 	dyT := w[3+nr : 3+2*nr]
 	st.best[src] = dist
-	st.srcR[src] = r
-	st.srcDT[src] = dyT
 	st.srcPred[src] = int32(d.From)
 	// Close a cycle if this node has an arc back to the source (line 26).
 	for _, a := range nd.Out() {
@@ -288,9 +259,8 @@ func shortCycles(net *congest.Network, sp shortSpec) (int, *shortWitnesses, erro
 			dT[i] = sp.distB[v][t]
 		}
 		progs[v] = &rbfsState{
-			v: v, sp: &sp, g: g, rOf: rs[v], dT: dT, nbr: nbr[v],
-			best: make(map[int32]int64), srcR: make(map[int32][]int32),
-			srcDT: make(map[int32][]int64), srcPred: make(map[int32]int32),
+			v: v, sp: &sp, g: g, rOf: rs[v], dT: dT, nbr: nbr,
+			best: make(map[int32]int64), srcPred: make(map[int32]int32),
 			z: &zFlags[v], lastRound: -1,
 		}
 	}

@@ -103,35 +103,20 @@ func MWC(net *congest.Network) (*Result, error) {
 		}
 	} else {
 		net.BeginPhase("exact:exchange")
-		recv, err := exchangeVectors(net, res)
+		// Every entry is sent, Inf included: the full n-wide vector.
+		recv, err := proto.Exchange(net, proto.ExchangeSpec{
+			Tag: tagVec, Fields: n,
+			Value: func(v, s int) (proto.Pair, bool) {
+				return proto.Pair{A: res.Dist[v][s], B: int64(res.Pred[v][s])}, true
+			},
+		})
 		net.EndPhase()
 		if err != nil {
 			return nil, fmt.Errorf("exact: exchange: %w", err)
 		}
-		for x := 0; x < n; x++ {
-			for ai, a := range g.Out(x) {
-				y := a.To
-				for s := 0; s < n; s++ {
-					dx := res.Dist[x][s]
-					if dx >= seq.Inf {
-						continue
-					}
-					dy := recv[x][ai][s]
-					if dy >= seq.Inf {
-						continue
-					}
-					// Non-tree exclusion: neither endpoint's pred for s may
-					// be the other endpoint.
-					if int(res.Pred[x][s]) == y || int(recv[x][ai][n+s]) == x {
-						continue
-					}
-					if c := dx + a.Weight + dy; c < mu[x] {
-						mu[x] = c
-						witnesses[x] = witnessInfo{at: x, via: y, src: s}
-					}
-				}
-			}
-		}
+		proto.NonTreeScan{Res: res, Recv: recv}.Scan(g, mu, func(x, y, s int) {
+			witnesses[x] = witnessInfo{at: x, via: y, src: s}
+		})
 	}
 	net.BeginPhase("exact:convergecast")
 	tree, err := proto.BuildTree(net, 0)
@@ -181,67 +166,4 @@ func buildWitness(g *graph.Graph, res *proto.MultiBFSResult, w witnessInfo) []in
 		return nil
 	}
 	return cycle
-}
-
-// exchangeVectors sends each node's full distance+pred vector to every
-// neighbour in O(n) pipelined rounds. recv[x][ai] is the vector of the
-// neighbour reached by the ai-th out-arc of x: entries [0,n) are distances,
-// entries [n,2n) are predecessors.
-func exchangeVectors(net *congest.Network, res *proto.MultiBFSResult) ([][][]int64, error) {
-	g := net.Graph()
-	n := g.N()
-	byID := make([]map[int][]int64, n)
-	for v := range byID {
-		byID[v] = make(map[int][]int64)
-	}
-	progs := make([]congest.Program, n)
-	for v := 0; v < n; v++ {
-		v := v
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				for _, u := range nd.Neighbors() {
-					for s := 0; s < n; s++ {
-						nd.SendTag(u, tagVec, int64(s), res.Dist[v][s], int64(res.Pred[v][s]))
-					}
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagVec {
-					return
-				}
-				vec := byID[v][d.From]
-				if vec == nil {
-					vec = make([]int64, 2*n)
-					for i := 0; i < n; i++ {
-						vec[i] = seq.Inf
-						vec[n+i] = -1
-					}
-					byID[v][d.From] = vec
-				}
-				s := int(d.Msg.Words[0])
-				vec[s] = d.Msg.Words[1]
-				vec[n+s] = d.Msg.Words[2]
-			},
-		}
-	}
-	if _, err := net.Run(progs, 0); err != nil {
-		return nil, err
-	}
-	out := make([][][]int64, n)
-	for x := 0; x < n; x++ {
-		arcs := g.Out(x)
-		out[x] = make([][]int64, len(arcs))
-		for ai, a := range arcs {
-			vec := byID[x][a.To]
-			if vec == nil {
-				vec = make([]int64, 2*n)
-				for i := 0; i < n; i++ {
-					vec[i] = seq.Inf
-					vec[n+i] = -1
-				}
-			}
-			out[x][ai] = vec
-		}
-	}
-	return out, nil
 }

@@ -30,7 +30,7 @@ package girth
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"congestmwc/internal/congest"
 	"congestmwc/internal/graph"
@@ -71,11 +71,6 @@ type Result struct {
 	Cycle []int
 	// Rounds consumed by this run.
 	Rounds int
-}
-
-type listEntry struct {
-	dist int64
-	pred int32
 }
 
 // Run executes the girth approximation on an undirected network.
@@ -123,36 +118,14 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		net.EndPhase()
 		return nil, fmt.Errorf("girth: sampled BFS: %w", err)
 	}
-	recvW, err := exchangeLists(net, resW, nil)
+	recvW, err := proto.ExchangeDistPred(net, resW, tagListEntry, nil)
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("girth: sampled exchange: %w", err)
 	}
-	for x := 0; x < n; x++ {
-		for _, a := range g.Out(x) {
-			y := a.To
-			al := length(a)
-			for wi := range w {
-				dx := resW.Dist[x][wi]
-				if dx >= seq.Inf {
-					continue
-				}
-				ey, ok := recvW[x][pairKey(y, wi)]
-				if !ok || ey.dist >= seq.Inf {
-					continue
-				}
-				// Non-tree condition: the edge (x,y) must not be a pred
-				// edge in w's shortest-path forest.
-				if int(resW.Pred[x][wi]) == y || int(ey.pred) == x {
-					continue
-				}
-				if c := dx + ey.dist + al; c < best[x] {
-					best[x] = c
-					wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y, z: -1}
-				}
-			}
-		}
-	}
+	proto.NonTreeScan{Res: resW, Recv: recvW, Length: length}.Scan(g, best, func(x, y, wi int) {
+		wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y, z: -1}
+	})
 
 	// Phase 2: sigma-nearest neighbourhoods via top-sigma source detection.
 	all := make([]int, n)
@@ -168,8 +141,8 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		net.EndPhase()
 		return nil, fmt.Errorf("girth: neighbourhood BFS: %w", err)
 	}
-	topSets := topSigmaSets(resN, sigma)
-	recvN, err := exchangeLists(net, resN, topSets)
+	topSets := proto.TopSigmaSets(resN, sigma)
+	recvN, err := proto.ExchangeDistPred(net, resN, tagListEntry, topSets)
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("girth: neighbourhood exchange: %w", err)
@@ -177,53 +150,37 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 
 	// Phase 2 candidates: edges within neighbourhoods (exact for cycles
 	// contained in all their vertices' neighbourhoods).
-	for x := 0; x < n; x++ {
-		for _, a := range g.Out(x) {
-			y := a.To
-			al := length(a)
-			for _, u := range topSets[x] {
-				if u == x || u == y {
-					continue
-				}
-				dx := resN.Dist[x][u]
-				ey, ok := recvN[x][pairKey(y, u)]
-				if !ok || ey.dist >= seq.Inf || dx >= seq.Inf {
-					continue
-				}
-				if int(resN.Pred[x][u]) == y || int(ey.pred) == x {
-					continue
-				}
-				if c := dx + ey.dist + al; c < best[x] {
-					best[x] = c
-					wits[x] = witnessInfo{res: resN, src: u, srcV: u, x: x, y: y, z: -1}
-				}
-			}
-		}
-	}
+	proto.NonTreeScan{Res: resN, Recv: recvN, Length: length, Fields: topSets}.Scan(g, best, func(x, y, u int) {
+		wits[x] = witnessInfo{res: resN, src: u, srcV: u, x: x, y: y, z: -1}
+	})
 
 	// Phase 3 candidates (the 2 - 1/g refinement): at each z, combine two
-	// distinct neighbours' list entries for a common source u.
+	// distinct neighbours' list entries for a common source u. arms is a
+	// dense table over sources, reset after each z through the touched list
+	// and visited in ascending u.
+	type arm struct {
+		d1, d2 int64 // two smallest d(u,x)+len(x,z) over distinct x
+		x1, x2 int
+	}
+	arms := make([]arm, n)
+	for u := range arms {
+		arms[u].x1 = -1
+	}
+	var touched []int
 	for z := 0; z < n; z++ {
-		type arm struct {
-			d1, d2 int64 // two smallest d(u,x)+len(x,z) over distinct x
-			x1, x2 int
-		}
-		arms := make(map[int]*arm)
 		for _, a := range g.Out(z) {
 			x := a.To
 			al := length(a)
-			for key, e := range recvN[z] {
-				from, u := keyPair(key)
-				if from != x || e.dist >= seq.Inf {
+			for _, e := range recvN.Entries(z, recvN.Slot(z, x)) {
+				u := e.Field
+				if e.A >= seq.Inf || u == z || u == x || e.B == int64(z) {
 					continue
 				}
-				if u == z || u == x || int(e.pred) == z {
-					continue
-				}
-				c := e.dist + al
-				ar := arms[u]
-				if ar == nil {
-					arms[u] = &arm{d1: c, d2: seq.Inf, x1: x, x2: -1}
+				c := e.A + al
+				ar := &arms[u]
+				if ar.x1 < 0 {
+					*ar = arm{d1: c, d2: seq.Inf, x1: x, x2: -1}
+					touched = append(touched, u)
 					continue
 				}
 				switch {
@@ -237,14 +194,18 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 				}
 			}
 		}
-		for u, ar := range arms {
+		slices.Sort(touched)
+		for _, u := range touched {
+			ar := &arms[u]
 			if ar.d2 < seq.Inf {
 				if c := ar.d1 + ar.d2; c < best[z] {
 					best[z] = c
 					wits[z] = witnessInfo{res: resN, src: u, srcV: u, x: ar.x1, y: ar.x2, z: z}
 				}
 			}
+			ar.x1 = -1
 		}
+		touched = touched[:0]
 	}
 
 	if spec.Bound > 0 {
@@ -281,96 +242,4 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		}
 	}
 	return out, nil
-}
-
-func pairKey(from, field int) int64 { return int64(from)<<32 | int64(field) }
-
-func keyPair(key int64) (from, field int) {
-	return int(key >> 32), int(key & 0xffffffff)
-}
-
-// topSigmaSets extracts, for each node, the field indices of its sigma
-// lexicographically smallest (dist, field) pairs.
-func topSigmaSets(res *proto.MultiBFSResult, sigma int) [][]int {
-	n := len(res.Dist)
-	out := make([][]int, n)
-	for v := 0; v < n; v++ {
-		type pr struct {
-			d int64
-			f int
-		}
-		var prs []pr
-		for f, d := range res.Dist[v] {
-			if d < seq.Inf {
-				prs = append(prs, pr{d, f})
-			}
-		}
-		sort.Slice(prs, func(i, j int) bool {
-			if prs[i].d != prs[j].d {
-				return prs[i].d < prs[j].d
-			}
-			return prs[i].f < prs[j].f
-		})
-		if len(prs) > sigma {
-			prs = prs[:sigma]
-		}
-		fields := make([]int, len(prs))
-		for i, p := range prs {
-			fields[i] = p.f
-		}
-		out[v] = fields
-	}
-	return out
-}
-
-// exchangeLists has every node send (field, dist, pred) for each of its
-// selected fields (all finite fields when sets is nil) to every neighbour,
-// in O(list length) pipelined rounds. Returns recv[v][pairKey(from,field)].
-func exchangeLists(net *congest.Network, res *proto.MultiBFSResult, sets [][]int) ([]map[int64]listEntry, error) {
-	n := len(res.Dist)
-	recv := make([]map[int64]listEntry, n)
-	for v := range recv {
-		recv[v] = make(map[int64]listEntry)
-	}
-	progs := make([]congest.Program, n)
-	for v := 0; v < n; v++ {
-		v := v
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				fields := fieldsFor(res, sets, v)
-				for _, u := range nd.Neighbors() {
-					for _, f := range fields {
-						nd.SendTag(u, tagListEntry, int64(f), res.Dist[v][f], int64(res.Pred[v][f]))
-					}
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagListEntry {
-					return
-				}
-				f := int(d.Msg.Words[0])
-				recv[v][pairKey(d.From, f)] = listEntry{
-					dist: d.Msg.Words[1],
-					pred: int32(d.Msg.Words[2]),
-				}
-			},
-		}
-	}
-	if _, err := net.Run(progs, 0); err != nil {
-		return nil, err
-	}
-	return recv, nil
-}
-
-func fieldsFor(res *proto.MultiBFSResult, sets [][]int, v int) []int {
-	if sets != nil {
-		return sets[v]
-	}
-	var fields []int
-	for f, d := range res.Dist[v] {
-		if d < seq.Inf {
-			fields = append(fields, f)
-		}
-	}
-	return fields
 }

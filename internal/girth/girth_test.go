@@ -191,17 +191,6 @@ func TestRunRoundsScaleSublinearly(t *testing.T) {
 	t.Logf("n=200: %d rounds", res.Rounds)
 }
 
-func TestPairKeyRoundTrip(t *testing.T) {
-	for _, from := range []int{0, 1, 999, 1 << 20} {
-		for _, field := range []int{0, 5, 1<<31 - 1} {
-			f, fl := keyPair(pairKey(from, field))
-			if f != from || fl != field {
-				t.Errorf("pairKey(%d,%d) round-tripped to (%d,%d)", from, field, f, fl)
-			}
-		}
-	}
-}
-
 func TestTopSigmaSetsOrderAndSize(t *testing.T) {
 	g := gen.Path(8)
 	net := newNet(t, g, 3)
@@ -213,7 +202,7 @@ func TestTopSigmaSetsOrderAndSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := topSigmaSets(res, 3)
+	sets := proto.TopSigmaSets(res, 3)
 	for v, set := range sets {
 		if len(set) > 3 {
 			t.Errorf("vertex %d: set size %d > sigma", v, len(set))

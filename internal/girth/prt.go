@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"congestmwc/internal/congest"
+	"congestmwc/internal/graph"
 	"congestmwc/internal/proto"
 	"congestmwc/internal/seq"
 )
@@ -65,7 +66,7 @@ func RunPRT(net *congest.Network, spec Spec) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("girth: guess %d BFS: %w", guess, err)
 		}
-		recvW, err := exchangeLists(net, resW, nil)
+		recvW, err := proto.ExchangeDistPred(net, resW, tagListEntry, nil)
 		if err != nil {
 			return nil, fmt.Errorf("girth: guess %d exchange: %w", guess, err)
 		}
@@ -75,28 +76,9 @@ func RunPRT(net *congest.Network, spec Spec) (*Result, error) {
 			best[i] = seq.Inf
 			wits[i].z = -1
 		}
-		for x := 0; x < n; x++ {
-			for _, a := range g.Out(x) {
-				y := a.To
-				for wi := range w {
-					dx := resW.Dist[x][wi]
-					if dx >= seq.Inf {
-						continue
-					}
-					ey, ok := recvW[x][pairKey(y, wi)]
-					if !ok || ey.dist >= seq.Inf {
-						continue
-					}
-					if int(resW.Pred[x][wi]) == y || int(ey.pred) == x {
-						continue
-					}
-					if c := dx + ey.dist + 1; c < best[x] {
-						best[x] = c
-						wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y, z: -1}
-					}
-				}
-			}
-		}
+		proto.NonTreeScan{Res: resW, Recv: recvW, Length: unitLength}.Scan(g, best, func(x, y, wi int) {
+			wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y, z: -1}
+		})
 		minW, err := proto.ConvergecastMin(net, tree, best)
 		if err != nil {
 			return nil, fmt.Errorf("girth: %w", err)
@@ -129,3 +111,5 @@ func RunPRT(net *congest.Network, spec Spec) (*Result, error) {
 	}
 	return out, nil
 }
+
+func unitLength(graph.Arc) int64 { return 1 }

@@ -36,7 +36,6 @@ package girthapx
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"congestmwc/internal/congest"
 	"congestmwc/internal/cyclewit"
@@ -74,11 +73,6 @@ type Result struct {
 	Cycle []int
 	// Rounds consumed by this run.
 	Rounds int
-}
-
-type listEntry struct {
-	dist int64
-	pred int32
 }
 
 // witnessInfo records where a candidate was found so a concrete cycle can
@@ -125,12 +119,6 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	if g.Weighted() {
 		length = func(a graph.Arc) int64 { return a.Weight }
 	}
-	arcLen := func(a graph.Arc) int64 {
-		if length == nil {
-			return 1
-		}
-		return length(a)
-	}
 	startRounds := net.Stats().Rounds
 	best := make([]int64, n)
 	wits := make([]witnessInfo, n)
@@ -150,36 +138,14 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		net.EndPhase()
 		return nil, fmt.Errorf("girthapx: sampled SSSP: %w", err)
 	}
-	recvW, err := exchangeLists(net, resW, nil)
+	recvW, err := proto.ExchangeDistPred(net, resW, tagListEntry, nil)
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("girthapx: sampled exchange: %w", err)
 	}
-	for x := 0; x < n; x++ {
-		for _, a := range g.Out(x) {
-			y := a.To
-			al := arcLen(a)
-			for wi := range w {
-				dx := resW.Dist[x][wi]
-				if dx >= seq.Inf {
-					continue
-				}
-				ey, ok := recvW[x][pairKey(y, wi)]
-				if !ok || ey.dist >= seq.Inf {
-					continue
-				}
-				// Non-tree condition: the edge (x,y) must not be a pred
-				// edge in w's shortest-path forest.
-				if int(resW.Pred[x][wi]) == y || int(ey.pred) == x {
-					continue
-				}
-				if c := dx + ey.dist + al; c < best[x] {
-					best[x] = c
-					wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y}
-				}
-			}
-		}
-	}
+	proto.NonTreeScan{Res: resW, Recv: recvW}.Scan(g, best, func(x, y, wi int) {
+		wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y}
+	})
 
 	// Phase 2: sigma-nearest neighbourhoods via top-sigma source detection
 	// on the stretched-graph simulation (exact distances for weights >= 1).
@@ -196,35 +162,15 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		net.EndPhase()
 		return nil, fmt.Errorf("girthapx: neighbourhood BFS: %w", err)
 	}
-	topSets := topSigmaSets(resN, sigma)
-	recvN, err := exchangeLists(net, resN, topSets)
+	topSets := proto.TopSigmaSets(resN, sigma)
+	recvN, err := proto.ExchangeDistPred(net, resN, tagListEntry, topSets)
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("girthapx: neighbourhood exchange: %w", err)
 	}
-	for x := 0; x < n; x++ {
-		for _, a := range g.Out(x) {
-			y := a.To
-			al := arcLen(a)
-			for _, u := range topSets[x] {
-				if u == x || u == y {
-					continue
-				}
-				dx := resN.Dist[x][u]
-				ey, ok := recvN[x][pairKey(y, u)]
-				if !ok || ey.dist >= seq.Inf || dx >= seq.Inf {
-					continue
-				}
-				if int(resN.Pred[x][u]) == y || int(ey.pred) == x {
-					continue
-				}
-				if c := dx + ey.dist + al; c < best[x] {
-					best[x] = c
-					wits[x] = witnessInfo{res: resN, src: u, srcV: u, x: x, y: y}
-				}
-			}
-		}
-	}
+	proto.NonTreeScan{Res: resN, Recv: recvN, Fields: topSets}.Scan(g, best, func(x, y, u int) {
+		wits[x] = witnessInfo{res: resN, src: u, srcV: u, x: x, y: y}
+	})
 
 	// Global minimum via tree + convergecast.
 	net.BeginPhase("girthapx:convergecast")
@@ -282,89 +228,4 @@ func buildCycle(g *graph.Graph, w witnessInfo) []int {
 		return nil
 	}
 	return cycle
-}
-
-func pairKey(from, field int) int64 { return int64(from)<<32 | int64(field) }
-
-// topSigmaSets extracts, for each node, the field indices of its sigma
-// lexicographically smallest (dist, field) pairs.
-func topSigmaSets(res *proto.MultiBFSResult, sigma int) [][]int {
-	n := len(res.Dist)
-	out := make([][]int, n)
-	for v := 0; v < n; v++ {
-		type pr struct {
-			d int64
-			f int
-		}
-		var prs []pr
-		for f, d := range res.Dist[v] {
-			if d < seq.Inf {
-				prs = append(prs, pr{d, f})
-			}
-		}
-		sort.Slice(prs, func(i, j int) bool {
-			if prs[i].d != prs[j].d {
-				return prs[i].d < prs[j].d
-			}
-			return prs[i].f < prs[j].f
-		})
-		if len(prs) > sigma {
-			prs = prs[:sigma]
-		}
-		fields := make([]int, len(prs))
-		for i, p := range prs {
-			fields[i] = p.f
-		}
-		out[v] = fields
-	}
-	return out
-}
-
-// exchangeLists has every node send (field, dist, pred) for each of its
-// selected fields (all finite fields when sets is nil) to every neighbour,
-// in O(list length) pipelined rounds. Returns recv[v][pairKey(from,field)].
-func exchangeLists(net *congest.Network, res *proto.MultiBFSResult, sets [][]int) ([]map[int64]listEntry, error) {
-	n := len(res.Dist)
-	recv := make([]map[int64]listEntry, n)
-	for v := range recv {
-		recv[v] = make(map[int64]listEntry)
-	}
-	progs := make([]congest.Program, n)
-	for v := 0; v < n; v++ {
-		v := v
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				fields := sets
-				var list []int
-				if fields != nil {
-					list = fields[v]
-				} else {
-					for f, d := range res.Dist[v] {
-						if d < seq.Inf {
-							list = append(list, f)
-						}
-					}
-				}
-				for _, u := range nd.Neighbors() {
-					for _, f := range list {
-						nd.SendTag(u, tagListEntry, int64(f), res.Dist[v][f], int64(res.Pred[v][f]))
-					}
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagListEntry {
-					return
-				}
-				f := int(d.Msg.Words[0])
-				recv[v][pairKey(d.From, f)] = listEntry{
-					dist: d.Msg.Words[1],
-					pred: int32(d.Msg.Words[2]),
-				}
-			},
-		}
-	}
-	if _, err := net.Run(progs, 0); err != nil {
-		return nil, err
-	}
-	return recv, nil
 }

@@ -822,27 +822,31 @@ func (s *Service) runJob(j *Job) {
 		s.failedN.Add(1)
 	}
 	final, finalErr := j.state, j.errMsg
-	queueWait := j.started.Sub(j.created)
-	runTime := j.finished.Sub(j.started)
+	// Book the run into the service totals before the job turns terminal:
+	// Metrics read right after Wait must already include it.
+	s.bookRun(j.started.Sub(j.created), j.finished.Sub(j.started), res, col)
 	close(j.done)
 	j.mu.Unlock()
 
 	j.publishState(final, finalErr) // terminal: closes the event hub
-	s.histQueueWait.observe(queueWait.Seconds())
-	s.histRun.observe(runTime.Seconds())
-	if res != nil {
-		s.histRounds.observe(float64(res.Rounds))
-		s.histMessages.observe(float64(res.Messages))
-	}
-
 	ev := JournalEvent{Type: EventState, ID: j.id, Key: j.key, State: final, Error: finalErr, Time: time.Now()}
 	if final == StateDone {
 		ev.Result = res
 	}
 	s.journalRecord(ev)
 	s.clearInflight(j.key, j)
+}
 
+// bookRun adds one executed job to the run histograms, the simulated
+// rounds/messages/words totals and the peak congestion figures. runJob
+// calls it under the job lock; it takes only leaf locks (the histograms'
+// and peakMu).
+func (s *Service) bookRun(queueWait, runTime time.Duration, res *congestmwc.Result, col *obs.Collector) {
+	s.histQueueWait.observe(queueWait.Seconds())
+	s.histRun.observe(runTime.Seconds())
 	if res != nil {
+		s.histRounds.observe(float64(res.Rounds))
+		s.histMessages.observe(float64(res.Messages))
 		s.roundsTotal.Add(uint64(res.Rounds))
 		s.messagesTotal.Add(uint64(res.Messages))
 		s.wordsTotal.Add(uint64(res.Words))

@@ -410,6 +410,36 @@ func TestObserveAttachesSummaries(t *testing.T) {
 	}
 }
 
+// TestMetricsBookJobBeforeWait pins that a job's simulated totals are
+// booked before the job turns terminal: with jobs submitted one at a time,
+// Metrics read right after each Wait equal the running sums.
+func TestMetricsBookJobBeforeWait(t *testing.T) {
+	s := New(Config{Workers: 1, Observe: true})
+	defer closeService(t, s)
+
+	var rounds, messages uint64
+	for i := 0; i < 6; i++ {
+		j, err := s.Submit(exactRingSpec(12+4*i, int64(i)))
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		st := waitTerminal(t, j, time.Minute)
+		if st.State != StateDone || st.Result == nil {
+			t.Fatalf("job %d ended in %s (%s)", i, st.State, st.Error)
+		}
+		rounds += uint64(st.Result.Rounds)
+		messages += uint64(st.Result.Messages)
+		m := s.Metrics()
+		if m.RoundsSimulated != rounds || m.MessagesSimulated != messages {
+			t.Fatalf("after job %d: Metrics rounds/messages = %d/%d, want running sums %d/%d",
+				i, m.RoundsSimulated, m.MessagesSimulated, rounds, messages)
+		}
+		if m.PeakLinkWords <= 0 {
+			t.Fatalf("after job %d: Metrics.PeakLinkWords = %d, want > 0", i, m.PeakLinkWords)
+		}
+	}
+}
+
 func TestListReturnsNewestFirst(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer closeService(t, s)

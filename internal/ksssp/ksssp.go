@@ -41,7 +41,7 @@ import (
 
 // PredUnknown marks a Result.Pred entry whose realized path does not end
 // with a concrete edge known to the algorithm (see Result.Pred).
-const PredUnknown int32 = -2
+const PredUnknown = proto.PredUnknown
 
 // Spec configures a k-source computation.
 type Spec struct {

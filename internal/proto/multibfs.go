@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"congestmwc/internal/congest"
 	"congestmwc/internal/graph"
@@ -141,32 +143,47 @@ func (h *pairHeap) pop() pairItem {
 	return top
 }
 
-// delayedSend is one scheduled (stretched-edge) relaxation. It stores the
-// pair's raw fields rather than a built message so the slice is pointer-free:
-// the per-Tick flush loop copies these structs, and pointer-free structs copy
-// without GC write barriers.
-type delayedSend struct {
+// delayed is one scheduled stretched-edge relaxation, linked into its
+// arc's queue. It stores the pair's raw fields rather than a built message
+// so the node's pool is pointer-free and copies without GC write barriers.
+type delayed struct {
 	fire  int
 	dist  int64
-	to    int32
 	field int32
+	next  int32 // next entry of the same queue (or of the free list); -1 ends it
+}
+
+// arcState is one traversal arc's effective length and its FIFO of delayed
+// sends, linked through the node's pool. An arc's length is fixed and a
+// node forwards at most one pair per Tick, so fire rounds strictly increase
+// along a queue: its head is its earliest send, and at most one entry per
+// arc falls due in any round.
+type arcState struct {
+	length     int64
+	head, tail int32 // -1 when the queue is empty
 }
 
 type bfsNode struct {
 	congest.Base
-	v      int
-	spec   *MultiBFSSpec
-	dist   []int64
-	pred   []int32
-	dirty  pairHeap
-	pends  []delayedSend
-	shared *MultiBFSResult
-	// arcs/lens are the node's traversal arcs for spec.Dir and their
-	// effective lengths, resolved once at Init: spec.Length is pure, so
-	// evaluating it per send (the old code) only burned time — for the
-	// scaled graphs of Section 5 that was a math.Pow per relaxation.
+	v     int
+	spec  *MultiBFSSpec
+	dist  []int64
+	pred  []int32
+	dirty pairHeap
+	// arcs are the node's traversal arcs for spec.Dir and out their
+	// lengths and queues, resolved once at Init: spec.Length is pure, and
+	// on the scaled graphs of Section 5 it costs a math.Pow per call.
 	arcs []graph.Arc
-	lens []int64
+	out  []arcState
+	// Stretched-edge simulation: the queued sends live in pool (free heads
+	// its free list); flushOrder is the order due sends leave in, nil for
+	// arc order. pending counts queued sends and nextFire is the earliest
+	// fire among the queue heads — the one wake-up the node holds for them.
+	pool       []delayed
+	free       int32
+	flushOrder []int32
+	pending    int
+	nextFire   int
 }
 
 func (b *bfsNode) record(field int32, d int64, from int32) bool {
@@ -184,7 +201,9 @@ func (b *bfsNode) record(field int32, d int64, from int32) bool {
 
 func (b *bfsNode) Init(nd *congest.Node) {
 	b.arcs = arcsFor(nd, b.spec.Dir)
-	b.lens = make([]int64, len(b.arcs))
+	b.out = make([]arcState, len(b.arcs))
+	b.free = -1
+	delays := false
 	for i, a := range b.arcs {
 		length := int64(1)
 		if b.spec.Length != nil {
@@ -195,6 +214,7 @@ func (b *bfsNode) Init(nd *congest.Node) {
 				// and contributes the same to the distance.
 				if l > 1 {
 					length = l
+					delays = true
 				}
 			case l >= 0:
 				// Plain weighted relaxation: weights are data; zero is a
@@ -202,7 +222,22 @@ func (b *bfsNode) Init(nd *congest.Node) {
 				length = l
 			}
 		}
-		b.lens[i] = length
+		b.out[i] = arcState{length: length, head: -1, tail: -1}
+	}
+	if delays && nd.Directed() && b.spec.Dir == Undirected {
+		// Out and In arcs may reach the same neighbour. Sends due in the
+		// same round must leave in creation order, which matters only on a
+		// shared link: the longer arc's send was created first.
+		b.flushOrder = make([]int32, len(b.arcs))
+		for i := range b.flushOrder {
+			b.flushOrder[i] = int32(i)
+		}
+		slices.SortStableFunc(b.flushOrder, func(i, j int32) int {
+			if b.arcs[i].To != b.arcs[j].To {
+				return b.arcs[i].To - b.arcs[j].To
+			}
+			return cmp.Compare(b.out[j].length, b.out[i].length)
+		})
 	}
 	k := len(b.dist)
 	if b.spec.InitDist != nil {
@@ -245,17 +280,8 @@ func (b *bfsNode) rank(d int64, f int32) int {
 
 func (b *bfsNode) Tick(nd *congest.Node) {
 	now := nd.Round()
-	// Flush due delayed sends (stretched-edge simulation).
-	if len(b.pends) > 0 {
-		rest := b.pends[:0]
-		for _, p := range b.pends {
-			if p.fire <= now {
-				nd.SendTag(int(p.to), tagBFSPair, int64(p.field), p.dist)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		b.pends = rest
+	if b.pending > 0 && b.nextFire <= now {
+		b.flush(nd, now)
 	}
 	// Forward the smallest still-valid dirty pair. Sends go through SendTag
 	// with inline payloads: Send copies the words into the link arena, so the
@@ -270,34 +296,89 @@ func (b *bfsNode) Tick(nd *congest.Node) {
 			continue // beyond the sigma nearest: do not forward
 		}
 		for i, a := range b.arcs {
-			length := b.lens[i]
+			length := b.out[i].length
 			nd2 := it.dist + length
 			if b.spec.Bound > 0 && nd2 > b.spec.Bound {
 				continue
 			}
 			if length == 1 || !b.spec.Stretch {
 				nd.SendTag(a.To, tagBFSPair, int64(it.field), nd2)
-			} else {
-				fire := now + int(length) - 1
-				b.pends = append(b.pends, delayedSend{fire: fire, dist: nd2, to: int32(a.To), field: it.field})
+				continue
+			}
+			fire := now + int(length) - 1
+			b.enqueue(i, delayed{fire: fire, dist: nd2, field: it.field, next: -1})
+			if b.pending == 0 || fire < b.nextFire {
+				b.nextFire = fire
 				nd.WakeAt(fire)
 			}
+			b.pending++
 		}
 		forwarded = true
 	}
 	if len(b.dirty) > 0 {
 		nd.WakeNext()
 	}
-	if len(b.pends) > 0 {
-		// Earliest pending send keeps the node armed.
-		minFire := b.pends[0].fire
-		for _, p := range b.pends[1:] {
-			if p.fire < minFire {
-				minFire = p.fire
-			}
-		}
-		nd.WakeAt(minFire)
+}
+
+// enqueue appends e to arc i's queue, reusing a freed pool entry if any.
+func (b *bfsNode) enqueue(i int, e delayed) {
+	idx := b.free
+	if idx >= 0 {
+		b.free = b.pool[idx].next
+		b.pool[idx] = e
+	} else {
+		idx = int32(len(b.pool))
+		b.pool = append(b.pool, e)
 	}
+	q := &b.out[i]
+	if q.tail >= 0 {
+		b.pool[q.tail].next = idx
+	} else {
+		q.head = idx
+	}
+	q.tail = idx
+}
+
+// flush sends the delayed sends due this round — at most one per arc, each
+// at its queue head — and arms the wake-up for the new earliest fire.
+func (b *bfsNode) flush(nd *congest.Node, now int) {
+	next := 0
+	if b.flushOrder == nil {
+		for i := range b.out {
+			next = b.flushArc(nd, i, now, next)
+		}
+	} else {
+		for _, i := range b.flushOrder {
+			next = b.flushArc(nd, int(i), now, next)
+		}
+	}
+	b.nextFire = next
+	if b.pending > 0 {
+		nd.WakeAt(next)
+	}
+}
+
+// flushArc sends arc i's head if it is due and returns next lowered to the
+// arc's earliest remaining fire (0 = none yet).
+func (b *bfsNode) flushArc(nd *congest.Node, i, now, next int) int {
+	q := &b.out[i]
+	if q.head < 0 {
+		return next
+	}
+	if p := b.pool[q.head]; p.fire <= now {
+		nd.SendTag(b.arcs[i].To, tagBFSPair, int64(p.field), p.dist)
+		b.pending--
+		b.pool[q.head].next = b.free
+		b.free = q.head
+		if q.head = p.next; q.head < 0 {
+			q.tail = -1
+			return next
+		}
+	}
+	if f := b.pool[q.head].fire; next == 0 || f < next {
+		return f
+	}
+	return next
 }
 
 // RunMultiBFS executes the spec on the network and returns per-node
@@ -323,19 +404,20 @@ func RunMultiBFS(net *congest.Network, spec MultiBFSSpec) (*MultiBFSResult, erro
 		Dist: make([][]int64, n),
 		Pred: make([][]int32, n),
 	}
+	// One arena per table, sliced into the nodes' rows.
+	dists := make([]int64, n*k)
+	preds := make([]int32, n*k)
+	for i := range dists {
+		dists[i] = seq.Inf
+		preds[i] = -1
+	}
 	progs := make([]congest.Program, n)
-	nodes := make([]*bfsNode, n)
-	for v := 0; v < n; v++ {
-		dist := make([]int64, k)
-		pred := make([]int32, k)
-		for i := range dist {
-			dist[i] = seq.Inf
-			pred[i] = -1
-		}
-		nodes[v] = &bfsNode{v: v, spec: &spec, dist: dist, pred: pred, shared: res}
-		res.Dist[v] = dist
-		res.Pred[v] = pred
-		progs[v] = nodes[v]
+	nodes := make([]bfsNode, n)
+	for v := range nodes {
+		res.Dist[v] = dists[v*k : (v+1)*k : (v+1)*k]
+		res.Pred[v] = preds[v*k : (v+1)*k : (v+1)*k]
+		nodes[v] = bfsNode{v: v, spec: &spec, dist: res.Dist[v], pred: res.Pred[v]}
+		progs[v] = &nodes[v]
 	}
 	rounds, err := net.Run(progs, spec.Budget)
 	res.Rounds = rounds

@@ -196,3 +196,46 @@ func TestMultiBFSZeroWeightsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Directed graphs traversed Undirected give a node an Out and an In arc to
+// the same neighbour, with different stretched lengths. Delayed sends due
+// in one round must then leave on that link in creation order (the longer
+// arc's first); these instances diverge from the pinned model cost when
+// they leave in arc order.
+func TestStretchedSharedLinkSendOrder(t *testing.T) {
+	cases := []struct {
+		seed  int64
+		sigma int
+		want  congest.Stats
+	}{
+		{16, 0, congest.Stats{Rounds: 19, Messages: 1071, Words: 3213, Activations: 254}},
+		{16, 3, congest.Stats{Rounds: 13, Messages: 647, Words: 1941, Activations: 195}},
+		{34, 0, congest.Stats{Rounds: 17, Messages: 1351, Words: 4053, Activations: 249}},
+	}
+	for _, tc := range cases {
+		g, err := (gen.Random{N: 18, P: 0.3, Directed: true, Weighted: true, MaxW: 7, Seed: tc.seed}).Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := congest.NewNetwork(g, congest.Options{Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources := []int{0, 3, 5, 7, 11}
+		if tc.sigma > 0 {
+			sources = make([]int, g.N())
+			for i := range sources {
+				sources[i] = i
+			}
+		}
+		if _, err := RunMultiBFS(net, MultiBFSSpec{
+			Sources: sources, Dir: Undirected, Stretch: true, TopSigma: tc.sigma,
+			Length: func(a graph.Arc) int64 { return a.Weight }, Bound: tc.seed % 20,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := net.Stats(); got != tc.want {
+			t.Errorf("seed %d sigma %d: stats %+v, want %+v", tc.seed, tc.sigma, got, tc.want)
+		}
+	}
+}

@@ -116,22 +116,36 @@ func ConvergecastMin(net *congest.Network, tree *Tree, value []int64) (int64, er
 // rounds, where M is the total number of records: records are upcast to the
 // root through the tree (pipelined by the transport) and flooded back down.
 // Every record is a fixed-width word tuple. Returns, for each node, the
-// records it received (every node receives all M records, including its
-// own, in the same canonical order... the order records arrive at the root).
+// records it received: every node receives all M records, including its
+// own, in one canonical order — the order they reach the root, which FIFO
+// links preserve on the way down. The nodes' lists are therefore the same
+// sequence, kept once in the root's flat word arena and shared by every
+// node; they must not be modified.
 func Broadcast(net *congest.Network, tree *Tree, values [][][]int64) ([][][]int64, error) {
 	n := net.Graph().N()
-	out := make([][][]int64, n)
+	m, w := 0, 0
+	for _, recs := range values {
+		m += len(recs)
+		for _, rec := range recs {
+			w += len(rec)
+		}
+	}
+	words := make([]int64, 0, w) // the root's records, back to back
+	sizes := make([]int, 0, m)   // and their lengths
+	got := make([]int, n)        // records each node received
 	progs := make([]congest.Program, n)
 	for v := 0; v < n; v++ {
 		v := v
 		down := func(nd *congest.Node, rec []int64) {
-			// rec may be a delivered payload, valid only inside this
-			// handler — copy before retaining it in the result.
-			cp := make([]int64, len(rec))
-			copy(cp, rec)
-			out[v] = append(out[v], cp)
+			got[v]++
+			if v == tree.Root {
+				// rec may be a delivered payload, valid only inside this
+				// handler: the arena keeps a copy.
+				words = append(words, rec...)
+				sizes = append(sizes, len(rec))
+			}
 			for _, c := range tree.Children[v] {
-				nd.Send(c, congest.Msg{Tag: tagBroadcastVal, Words: cp})
+				nd.Send(c, congest.Msg{Tag: tagBroadcastVal, Words: rec})
 			}
 		}
 		progs[v] = congest.Funcs{
@@ -153,17 +167,32 @@ func Broadcast(net *congest.Network, tree *Tree, values [][][]int64) ([][][]int6
 					nd.Send(tree.Parent[v], congest.Msg{Tag: tagBroadcastVal, Words: d.Msg.Words})
 					return
 				}
-				if v == tree.Root {
-					down(nd, d.Msg.Words)
-					return
-				}
-				// From parent: record has been seen by the root, flood down.
+				// At the root, or from the parent: the record has been seen
+				// by the root, flood it down.
 				down(nd, d.Msg.Words)
 			},
 		}
 	}
 	if _, err := net.Run(progs, 0); err != nil {
 		return nil, fmt.Errorf("broadcast: %w", err)
+	}
+	for v, c := range got {
+		if c != m {
+			return nil, fmt.Errorf("broadcast: node %d received %d of %d records", v, c, m)
+		}
+	}
+	out := make([][][]int64, n)
+	if m == 0 {
+		return out, nil
+	}
+	recs := make([][]int64, m)
+	off := 0
+	for i, l := range sizes {
+		recs[i] = words[off : off+l : off+l]
+		off += l
+	}
+	for v := range out {
+		out[v] = recs
 	}
 	return out, nil
 }

@@ -197,37 +197,14 @@ func longCycles(net *congest.Network, spec Spec, h int, factor, subEps float64) 
 		fwRes = &proto.MultiBFSResult{Dist: res.Dist, Pred: res.Pred}
 		// Neighbours exchange their sample-distance vectors with final-edge
 		// predecessors, then close cycles over non-pred-tree edges.
-		recv, err := exchangeDistPred(net, res)
+		recv, err := proto.ExchangeDistPred(net, fwRes, tagLongDist, nil)
 		if err != nil {
 			return 0, nil, err
 		}
-		for x := 0; x < n; x++ {
-			for _, a := range g.Out(x) {
-				y := a.To
-				for j := range sample {
-					dx := res.Dist[x][j]
-					if dx >= seq.Inf {
-						continue
-					}
-					ey, ok := recv[x][pairKey(y, j)]
-					if !ok || ey.dist >= seq.Inf {
-						continue
-					}
-					// Exclude pred-tree edges and unknown final edges.
-					if res.Pred[x][j] == ksssp.PredUnknown || ey.pred == ksssp.PredUnknown {
-						continue
-					}
-					if int(res.Pred[x][j]) == y || int(ey.pred) == x {
-						continue
-					}
-					if c := dx + a.Weight + ey.dist; c < best[x] {
-						best[x] = c
-						witJ[x] = int32(j)
-						witY[x] = int32(y)
-					}
-				}
-			}
-		}
+		proto.NonTreeScan{Res: fwRes, Recv: recv}.Scan(g, best, func(x, y, j int) {
+			witJ[x] = int32(j)
+			witY[x] = int32(y)
+		})
 	}
 	tree, err := proto.BuildTree(net, 0)
 	if err != nil {
@@ -334,50 +311,4 @@ func shortCycles(net *congest.Network, spec Spec, h int, factor, subEps float64)
 		}
 	}
 	return best, bestCycle, nil
-}
-
-type distPred struct {
-	dist int64
-	pred int32
-}
-
-func pairKey(from, field int) int64 { return int64(from)<<32 | int64(field) }
-
-// exchangeDistPred sends each node's (field, dist, pred) entries for the
-// ksssp result to all neighbours (O(k) pipelined rounds).
-func exchangeDistPred(net *congest.Network, res *ksssp.Result) ([]map[int64]distPred, error) {
-	n := net.Graph().N()
-	recv := make([]map[int64]distPred, n)
-	for v := range recv {
-		recv[v] = make(map[int64]distPred)
-	}
-	progs := make([]congest.Program, n)
-	for v := 0; v < n; v++ {
-		v := v
-		progs[v] = congest.Funcs{
-			OnInit: func(nd *congest.Node) {
-				for _, u := range nd.Neighbors() {
-					for j, d := range res.Dist[v] {
-						if d >= seq.Inf {
-							continue
-						}
-						nd.SendTag(u, tagLongDist, int64(j), d, int64(res.Pred[v][j]))
-					}
-				}
-			},
-			OnDeliver: func(nd *congest.Node, d congest.Delivery) {
-				if d.Msg.Tag != tagLongDist {
-					return
-				}
-				recv[v][pairKey(d.From, int(d.Msg.Words[0]))] = distPred{
-					dist: d.Msg.Words[1],
-					pred: int32(d.Msg.Words[2]),
-				}
-			},
-		}
-	}
-	if _, err := net.Run(progs, 0); err != nil {
-		return nil, err
-	}
-	return recv, nil
 }
