@@ -10,6 +10,7 @@ import (
 	"net/http"
 
 	"congestmwc/internal/jobs"
+	"congestmwc/internal/obs"
 )
 
 // Handler exposes the cluster over the same wire API as a single mwcd
@@ -44,24 +45,20 @@ func (r *Router) Handler() http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
-		req.Body = http.MaxBytesReader(w, req.Body, maxBody)
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
 		var spec jobs.Spec
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
+		if !obs.DecodeJSON(w, req, maxBody, "invalid job spec", &spec) {
 			return
 		}
 		r.submissions.Add(1)
 		info, err := spec.Inspect(r.cfg.MaxN)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			obs.HTTPError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		target, ok := r.ring.LookupHealthy(info.Key, r.isReady)
 		if !ok {
 			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "no ready workers")
+			obs.HTTPError(w, http.StatusServiceUnavailable, "no ready workers")
 			return
 		}
 		est := r.est.Estimate(info)
@@ -78,24 +75,20 @@ func (r *Router) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("POST /v1/jobs:batch", func(w http.ResponseWriter, req *http.Request) {
-		req.Body = http.MaxBytesReader(w, req.Body, maxBody)
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
 		var breq jobs.BatchRequest
-		if err := dec.Decode(&breq); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid batch: "+err.Error())
+		if !obs.DecodeJSON(w, req, maxBody, "invalid batch", &breq) {
 			return
 		}
 		if len(breq.Jobs) == 0 {
-			httpError(w, http.StatusBadRequest, "empty batch: want {\"jobs\": [spec, ...]}")
+			obs.HTTPError(w, http.StatusBadRequest, "empty batch: want {\"jobs\": [spec, ...]}")
 			return
 		}
 		if len(breq.Jobs) > maxBatch {
-			httpError(w, http.StatusRequestEntityTooLarge,
+			obs.HTTPError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("batch of %d jobs exceeds the %d-item limit", len(breq.Jobs), maxBatch))
 			return
 		}
-		writeJSON(w, http.StatusOK, r.submitBatch(req, breq.Jobs))
+		obs.WriteJSON(w, http.StatusOK, r.submitBatch(req, breq.Jobs))
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
 		all := make([]json.RawMessage, 0, 64)
@@ -115,7 +108,7 @@ func (r *Router) Handler() http.Handler {
 			}
 			all = append(all, page.Jobs...)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": all})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"jobs": all})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, req *http.Request) {
 		r.proxyJob(w, req, req.PathValue("id"))
@@ -128,12 +121,8 @@ func (r *Router) Handler() http.Handler {
 		r.proxyEvents(w, req, id, "/v1/jobs/"+id+"/events")
 	})
 	mux.HandleFunc("POST /v1/graphs", func(w http.ResponseWriter, req *http.Request) {
-		req.Body = http.MaxBytesReader(w, req.Body, maxBody)
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
 		var spec jobs.Spec
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid session spec: "+err.Error())
+		if !obs.DecodeJSON(w, req, maxBody, "invalid session spec", &spec) {
 			return
 		}
 		// Sessions place like jobs: by the canonical key of the initial
@@ -142,32 +131,32 @@ func (r *Router) Handler() http.Handler {
 		// worker pool and admission queue.
 		info, err := spec.Inspect(r.cfg.MaxN)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			obs.HTTPError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		target, ok := r.ring.LookupHealthy(info.Key, r.isReady)
 		if !ok {
 			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "no ready workers")
+			obs.HTTPError(w, http.StatusServiceUnavailable, "no ready workers")
 			return
 		}
 		r.sessions.Add(1)
 		wk := r.workers[target]
 		body, err := json.Marshal(spec)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		out, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
 			wk.cfg.URL+"/v1/graphs", bytes.NewReader(body))
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		out.Header.Set("Content-Type", "application/json")
 		resp, err := r.client.Do(out)
 		if err != nil {
-			httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+			obs.HTTPError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 			return
 		}
 		defer resp.Body.Close()
@@ -195,7 +184,7 @@ func (r *Router) Handler() http.Handler {
 			}
 			all = append(all, page.Graphs...)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"graphs": all})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"graphs": all})
 	})
 	proxyGraph := func(w http.ResponseWriter, req *http.Request, suffix string) {
 		r.proxySession(w, req, req.PathValue("id"), suffix, maxBody)
@@ -217,15 +206,15 @@ func (r *Router) Handler() http.Handler {
 		r.proxyEvents(w, req, id, "/v1/graphs/"+id+"/events")
 	})
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.topology())
+		obs.WriteJSON(w, http.StatusOK, r.topology())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
 		if !r.anyReady() {
 			w.Header().Set("Retry-After", "5")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "workers": 0})
+			obs.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "workers": 0})
 			return
 		}
 		n := 0
@@ -234,7 +223,7 @@ func (r *Router) Handler() http.Handler {
 				n++
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "workers": n})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "workers": n})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -248,19 +237,19 @@ func (r *Router) Handler() http.Handler {
 func (r *Router) forwardSubmit(w http.ResponseWriter, req *http.Request, wk *worker, spec jobs.Spec) (string, int) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 		return "", http.StatusInternalServerError
 	}
 	out, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
 		wk.cfg.URL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 		return "", http.StatusInternalServerError
 	}
 	out.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		obs.HTTPError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return "", http.StatusBadGateway
 	}
 	defer resp.Body.Close()
@@ -268,7 +257,7 @@ func (r *Router) forwardSubmit(w http.ResponseWriter, req *http.Request, wk *wor
 	wk.placed.Add(1)
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		obs.HTTPError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return "", http.StatusBadGateway
 	}
 	copyHeader(w, resp, "Content-Type", "Retry-After")
@@ -365,7 +354,7 @@ func (r *Router) submitBatch(req *http.Request, specs []jobs.Spec) jobs.BatchRes
 func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, id string) {
 	wk := r.ownerOf(id)
 	if wk == nil {
-		httpError(w, http.StatusNotFound,
+		obs.HTTPError(w, http.StatusNotFound,
 			fmt.Sprintf("job %q: ID names no known shard (known: %v)", id, r.ring.Members()))
 		return
 	}
@@ -375,12 +364,12 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, id string) {
 	}
 	out, err := http.NewRequestWithContext(req.Context(), req.Method, url, nil)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		obs.HTTPError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -395,7 +384,7 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, id string) {
 func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suffix string, maxBody int64) {
 	wk := r.ownerOf(id)
 	if wk == nil {
-		httpError(w, http.StatusNotFound,
+		obs.HTTPError(w, http.StatusNotFound,
 			fmt.Sprintf("session %q: ID names no known shard (known: %v)", id, r.ring.Members()))
 		return
 	}
@@ -409,7 +398,7 @@ func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suff
 	}
 	out, err := http.NewRequestWithContext(req.Context(), req.Method, url, body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if ct := req.Header.Get("Content-Type"); ct != "" {
@@ -417,7 +406,7 @@ func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suff
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		obs.HTTPError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -440,18 +429,18 @@ func (r *Router) proxySession(w http.ResponseWriter, req *http.Request, id, suff
 func (r *Router) proxyEvents(w http.ResponseWriter, req *http.Request, id, path string) {
 	wk := r.ownerOf(id)
 	if wk == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("%q: ID names no known shard", id))
+		obs.HTTPError(w, http.StatusNotFound, fmt.Sprintf("%q: ID names no known shard", id))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
+		obs.HTTPError(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	out, err := http.NewRequestWithContext(req.Context(), http.MethodGet,
 		wk.cfg.URL+path, nil)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	out.Header.Set("Accept", "text/event-stream")
@@ -460,7 +449,7 @@ func (r *Router) proxyEvents(w http.ResponseWriter, req *http.Request, id, path 
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
+		obs.HTTPError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", wk.cfg.Name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -545,13 +534,13 @@ func writeQoSError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrTenantQuota), errors.Is(err, ErrCapacity):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		obs.HTTPError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client hung up while queued; nobody is listening, but end the
 		// handler with a meaningful status anyway.
-		httpError(w, 499, err.Error())
+		obs.HTTPError(w, 499, err.Error())
 	default:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -605,18 +594,6 @@ func (r *Router) writeMetrics(w io.Writer) {
 	c("mwcrouter_qos_waited_total", "Submissions that had to queue for budget.", qm.Waited)
 	c("mwcrouter_qos_quota_rejected_total", "Submissions rejected by a tenant quota.", qm.QuotaRejected)
 	c("mwcrouter_qos_capacity_bounced_total", "Batch items bounced by the full budget.", qm.CapacityBounced)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
 }
 
 func copyHeader(w http.ResponseWriter, resp *http.Response, keys ...string) {

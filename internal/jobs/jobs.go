@@ -128,19 +128,21 @@ func (c Config) withDefaults() Config {
 }
 
 // Job is one tracked submission. All state transitions happen under mu;
-// done closes exactly once, on entering a terminal state.
+// done closes exactly once, in Service.finish.
 type Job struct {
-	id    string
-	key   string
-	spec  Spec
-	graph *congestmwc.Graph
-	opts  congestmwc.Options
-	// algo is the concrete portfolio algorithm this job runs: spec.Algo for
-	// direct submissions, the planner's choice for guarantee-driven ones.
-	algo Algo
-	// decision is the planner's record for guarantee-driven jobs (nil for
-	// direct submissions); surfaced in Status.
-	decision *congestmwc.Decision
+	id   string
+	key  string
+	spec Spec
+	// resolution is what admission derived from spec: the graph and options
+	// the run uses, the concrete algorithm (spec.Algo, or the planner's
+	// choice for guarantee-driven jobs) and the planner's decision record.
+	// It is zero for a recovered job whose spec no longer resolves.
+	resolution
+	n, m int // the instance size, recorded at admission
+	// journaled reports whether the journal holds, or may hold, a record of
+	// this job: its admit record, or one from an earlier attempt under a
+	// caller-supplied ID. finish journals the terminal state only then.
+	journaled bool
 
 	// stream is the job's live event hub (Config.Observe only): state
 	// transitions plus the simulation's round/phase/run events, broadcast
@@ -193,8 +195,8 @@ func (j *Job) Epoch() uint64 {
 }
 
 // publishState broadcasts a state transition on the job's event hub (a
-// no-op without one) and closes the hub on terminal states, ending every
-// subscriber's stream.
+// no-op without one: without Config.Observe streaming costs nothing) and
+// closes the hub on terminal states, ending every subscriber's stream.
 func (j *Job) publishState(st State, errMsg string) {
 	if j.stream == nil {
 		return
@@ -203,17 +205,6 @@ func (j *Job) publishState(st State, errMsg string) {
 	if st.Terminal() {
 		j.stream.Close()
 	}
-}
-
-// attachStream gives the job its event hub and publishes the initial
-// state. Without Config.Observe this is a no-op: jobs then carry no hub,
-// publishState does nothing, and streaming costs nothing.
-func (s *Service) attachStream(j *Job, st State) {
-	if !s.cfg.Observe {
-		return
-	}
-	j.stream = obs.NewStreamer(s.cfg.EventBuffer)
-	j.publishState(st, j.errMsg)
 }
 
 // Wait blocks until the job reaches a terminal state or ctx is done, and
@@ -281,10 +272,10 @@ func (j *Job) Status() Status {
 		Key:                 j.key,
 		Algo:                j.algo,
 		Guarantee:           j.spec.Guarantee,
-		Planner:             j.decision,
+		Planner:             j.dec,
 		Tenant:              j.spec.Tenant,
-		N:                   j.graph.N(),
-		M:                   j.graph.M(),
+		N:                   j.n,
+		M:                   j.m,
 		CacheHit:            j.cacheHit,
 		InterruptedAttempts: j.interrupted,
 		Created:             j.created,
@@ -320,12 +311,20 @@ type Service struct {
 	cache   *resultCache
 	journal Journal // nil = in-memory only
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string        // job IDs in creation order, for pruning
-	inflight map[string]*Job // cache key → non-terminal job, for idempotent dedup
-	nextID   int64
-	closed   bool
+	// Lock order: mu → Job.mu → flightMu. The cache, histogram and peak
+	// locks are leaves too. Never take mu while holding a Job.mu: record
+	// calls Job.terminal under mu.
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	order  []string // job IDs in creation order, for pruning
+	nextID int64
+	closed bool
+
+	// flightMu guards inflight (cache key → non-terminal job, for
+	// idempotent dedup). It is its own lock so finish can drop a job
+	// without mu, which admission may already hold.
+	flightMu sync.Mutex
+	inflight map[string]*Job
 
 	wg        sync.WaitGroup
 	draining  atomic.Bool
@@ -392,95 +391,7 @@ func New(cfg Config) *Service {
 // running is answered idempotently with that in-flight job instead of
 // enqueueing duplicate work. The returned Job is safe for concurrent use.
 func (s *Service) Submit(spec Spec) (*Job, error) {
-	r, err := spec.resolve(s.cfg.MaxN)
-	if err != nil {
-		return nil, err
-	}
-	g, opts := r.g, r.opts
-	// The key is on the resolved algorithm: a guarantee-driven job shares
-	// its cache line with direct submissions of the same algorithm, and two
-	// guarantees planning to the same choice share one execution.
-	key := cacheKey(g, r.algo, opts)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	select {
-	case <-s.drainCh:
-		// SignalDrain has fired: the pool is about to stop, so nothing —
-		// not even a cache hit — is admitted in the shutdown window.
-		return nil, ErrDraining
-	default:
-	}
-	if res, ok := s.lookupLocked(key); ok {
-		now := time.Now()
-		j := &Job{
-			id:       s.newIDLocked(),
-			key:      key,
-			spec:     spec,
-			graph:    g,
-			opts:     opts,
-			algo:     r.algo,
-			decision: r.dec,
-			state:    StateDone,
-			result:   res,
-			cacheHit: true,
-			created:  now,
-			started:  now,
-			finished: now,
-			done:     make(chan struct{}),
-		}
-		close(j.done)
-		s.attachStream(j, StateDone) // hub is born closed: replay says done
-		s.doneN.Add(1)
-		s.submitted.Add(1)
-		s.record(j)
-		// Cache-hit jobs are not journaled: they are terminal at birth and
-		// their result is already durable (or the service is in-memory).
-		return j, nil
-	}
-	if prior := s.inflight[key]; prior != nil {
-		s.deduped.Add(1)
-		return prior, nil
-	}
-	j := &Job{
-		id:       s.newIDLocked(),
-		key:      key,
-		spec:     spec,
-		graph:    g,
-		opts:     opts,
-		algo:     r.algo,
-		decision: r.dec,
-		state:    StateQueued,
-		created:  time.Now(),
-		done:     make(chan struct{}),
-	}
-	// The hub must exist before the job is visible to a worker: runJob
-	// reads j.stream without the job lock.
-	s.attachStream(j, StateQueued)
-	select {
-	case s.queue <- j:
-	default:
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.cfg.QueueCap)
-	}
-	s.inflight[key] = j
-	s.submitted.Add(1)
-	s.record(j)
-	s.journalRecord(JournalEvent{
-		Type: EventAdmit, ID: j.id, Key: key, State: StateQueued,
-		Time: j.created, Spec: &spec,
-	})
-	return j, nil
-}
-
-// newIDLocked mints the next job ID (Config.IDPrefix + "j-%08d"). Caller
-// holds s.mu.
-func (s *Service) newIDLocked() string {
-	s.nextID++
-	return fmt.Sprintf("%sj-%08d", s.cfg.IDPrefix, s.nextID)
+	return s.submit("", spec, 0)
 }
 
 // SubmitWithID admits a job under a caller-chosen ID: the cluster hand-off
@@ -496,13 +407,17 @@ func (s *Service) SubmitWithID(id string, spec Spec, interrupted int) (*Job, err
 	if id == "" {
 		return nil, fmt.Errorf("jobs: empty job ID")
 	}
+	return s.submit(id, spec, interrupted)
+}
+
+// submit is Submit and SubmitWithID: resolve outside the lock, refuse work
+// once the service is closing, admit with a non-blocking enqueue, and count
+// a newly admitted job as submitted.
+func (s *Service) submit(id string, spec Spec, interrupted int) (*Job, error) {
 	r, err := spec.resolve(s.cfg.MaxN)
 	if err != nil {
 		return nil, err
 	}
-	g, opts := r.g, r.opts
-	key := cacheKey(g, r.algo, opts)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -510,63 +425,139 @@ func (s *Service) SubmitWithID(id string, spec Spec, interrupted int) (*Job, err
 	}
 	select {
 	case <-s.drainCh:
+		// SignalDrain has fired: the pool is about to stop, so nothing —
+		// not even a cache hit — is admitted in the shutdown window.
 		return nil, ErrDraining
 	default:
 	}
-	if prior, ok := s.jobs[id]; ok {
-		return prior, nil
-	}
-	// Keep the ID counter ahead of adopted IDs that carry our own prefix,
-	// so later Submit calls cannot mint a colliding ID. Foreign prefixes
-	// (another shard's handed-off jobs) can never collide with ours.
-	if n := idSuffix(id); n > s.nextID && (s.cfg.IDPrefix == "" || len(id) > len(s.cfg.IDPrefix) && id[:len(s.cfg.IDPrefix)] == s.cfg.IDPrefix) {
-		s.nextID = n
-	}
-	now := time.Now()
-	if res, ok := s.lookupLocked(key); ok {
-		j := &Job{
-			id: id, key: key, spec: spec, graph: g, opts: opts,
-			algo: r.algo, decision: r.dec,
-			state: StateDone, result: res, cacheHit: true,
-			interrupted: interrupted,
-			created:     now, started: now, finished: now,
-			done: make(chan struct{}),
-		}
-		close(j.done)
-		s.attachStream(j, StateDone)
-		s.doneN.Add(1)
+	j, fresh, err := s.admitLocked(id, spec, r, nil, interrupted, s.tryEnqueue)
+	if fresh {
 		s.submitted.Add(1)
-		s.record(j)
-		// Mark the adopted job terminal in the journal (its result is
-		// already durable here) so a later recovery does not re-enqueue it.
-		s.journalRecord(JournalEvent{
-			Type: EventState, ID: id, Key: key, State: StateDone, Time: now,
-		})
-		return j, nil
 	}
-	j := &Job{
-		id: id, key: key, spec: spec, graph: g, opts: opts,
-		algo: r.algo, decision: r.dec,
-		state: StateQueued, interrupted: interrupted,
-		created: now, done: make(chan struct{}),
-	}
-	s.attachStream(j, StateQueued)
+	return j, err
+}
+
+// tryEnqueue is the submissions' queueing policy: a non-blocking send, so
+// a full queue rejects the job (backpressure) instead of stalling the
+// caller.
+func (s *Service) tryEnqueue(j *Job) error {
 	select {
 	case s.queue <- j:
+		return nil
 	default:
 		s.rejected.Add(1)
-		return nil, fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.cfg.QueueCap)
+		return fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.cfg.QueueCap)
 	}
-	if s.inflight[key] == nil {
-		s.inflight[key] = j
+}
+
+// admitLocked is the one admission step behind Submit, SubmitWithID and
+// Restore. Caller holds s.mu. r is spec's resolution, or rerr why it did
+// not resolve (recovery only: submissions return that error instead).
+//
+// Every difference between the callers follows from one input fact,
+// whether the caller supplied the ID (id != ""):
+//   - a supplied ID names a job of its own: an ID already known returns
+//     that job unchanged, and the job never coalesces with an in-flight
+//     job of the same key, as a minted ID's does (counted as Deduped);
+//   - a supplied ID carrying this service's IDPrefix moves the ID counter
+//     past it, so later minted IDs cannot collide;
+//   - a supplied ID may already be in the journal, so a job terminal at
+//     birth under it is journaled; under a minted ID it leaves no trace.
+//
+// Every job is born queued. A cached result (in memory or durable) or a
+// resolution error finishes it at once. Otherwise enqueue — the caller's
+// queueing policy — takes it; once it does, the job is in flight and its
+// admit record is journaled. fresh reports whether a new job was admitted.
+func (s *Service) admitLocked(id string, spec Spec, r resolution, rerr error, interrupted int, enqueue func(*Job) error) (j *Job, fresh bool, err error) {
+	supplied := id != ""
+	if supplied {
+		if prior, ok := s.jobs[id]; ok {
+			return prior, false, nil
+		}
+		if n := idSuffix(id); n > s.nextID && strings.HasPrefix(id, s.cfg.IDPrefix) {
+			s.nextID = n
+		}
 	}
-	s.submitted.Add(1)
+	var (
+		key    string
+		cached *congestmwc.Result
+		hit    bool
+	)
+	if rerr == nil {
+		// The key is on the resolved algorithm: a guarantee-driven job
+		// shares its cache line with direct submissions of the same
+		// algorithm, and two guarantees planning to the same choice share
+		// one execution.
+		key = cacheKey(r.g, r.algo, r.opts)
+		cached, hit = s.lookupLocked(key)
+		if !hit && !supplied {
+			s.flightMu.Lock()
+			prior := s.inflight[key]
+			s.flightMu.Unlock()
+			if prior != nil {
+				s.deduped.Add(1)
+				return prior, false, nil
+			}
+		}
+	}
+	if !supplied {
+		id = s.newIDLocked()
+	}
+	now := time.Now()
+	j = &Job{
+		id: id, key: key, spec: spec, resolution: r,
+		journaled: supplied || (rerr == nil && !hit), interrupted: interrupted,
+		state: StateQueued, created: now, done: make(chan struct{}),
+	}
+	if r.g != nil {
+		j.n, j.m = r.g.N(), r.g.M()
+	}
+	if s.cfg.Observe {
+		// The hub must exist before the job is visible to a worker: runJob
+		// reads j.stream without the job lock.
+		j.stream = obs.NewStreamer(s.cfg.EventBuffer)
+	}
+	switch {
+	case rerr != nil:
+		s.finish(j, StateQueued, outcome{state: StateFailed, err: rerr.Error()})
+	case hit:
+		j.cacheHit, j.started = true, now
+		s.finish(j, StateQueued, outcome{state: StateDone, res: cached})
+	default:
+		j.publishState(StateQueued, "")
+		// j.mu is held until the job is registered in flight and its admit
+		// record is journaled. A worker takes j.mu before anything else it
+		// does with the job, so the job's finish cannot run before it is
+		// registered, and its running and terminal records cannot reach
+		// the journal ahead of its admit record (replay would resurrect a
+		// finished job).
+		j.mu.Lock()
+		err = enqueue(j)
+		if err == nil {
+			s.flightMu.Lock()
+			if s.inflight[key] == nil {
+				s.inflight[key] = j
+			}
+			s.flightMu.Unlock()
+			s.journalRecord(JournalEvent{
+				Type: EventAdmit, ID: id, Key: key, State: StateQueued,
+				Time: now, Interrupted: interrupted, Spec: &spec,
+			})
+		}
+		j.mu.Unlock()
+		if err != nil {
+			return nil, false, err
+		}
+	}
 	s.record(j)
-	s.journalRecord(JournalEvent{
-		Type: EventAdmit, ID: id, Key: key, State: StateQueued,
-		Time: now, Interrupted: interrupted, Spec: &spec,
-	})
-	return j, nil
+	return j, true, nil
+}
+
+// newIDLocked mints the next job ID (Config.IDPrefix + "j-%08d"). Caller
+// holds s.mu.
+func (s *Service) newIDLocked() string {
+	s.nextID++
+	return fmt.Sprintf("%sj-%08d", s.cfg.IDPrefix, s.nextID)
 }
 
 // lookupLocked consults the in-memory result cache and, on a miss, the
@@ -590,16 +581,6 @@ func (s *Service) journalRecord(ev JournalEvent) {
 	if s.journal != nil {
 		s.journal.Record(ev)
 	}
-}
-
-// clearInflight drops the job from the in-flight dedup index once it is
-// terminal. The identity check guards against a newer job reusing the key.
-func (s *Service) clearInflight(key string, j *Job) {
-	s.mu.Lock()
-	if s.inflight[key] == j {
-		delete(s.inflight, key)
-	}
-	s.mu.Unlock()
 }
 
 // record registers the job and prunes the oldest terminal records beyond
@@ -693,31 +674,20 @@ func (s *Service) Cancel(id string) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	j.mu.Lock()
-	var cancelled bool
-	switch j.state {
-	case StateQueued:
-		j.state = StateCancelled
-		j.errMsg = "cancelled while queued"
-		j.finished = time.Now()
-		close(j.done)
-		s.cancelledN.Add(1)
-		cancelled = true
-	case StateRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
-	}
-	j.mu.Unlock()
-	if cancelled {
-		j.publishState(StateCancelled, "cancelled while queued")
-		s.journalRecord(JournalEvent{
-			Type: EventState, ID: j.id, Key: j.key,
-			State: StateCancelled, Error: "cancelled while queued", Time: time.Now(),
-		})
-		s.clearInflight(j.key, j)
+	if !s.finish(j, StateQueued, outcome{state: StateCancelled, err: "cancelled while queued"}) {
+		j.abort()
 	}
 	return j.Status(), nil
+}
+
+// abort cancels the job's simulation if it is running; runJob then
+// finishes it.
+func (j *Job) abort() {
+	j.mu.Lock()
+	if j.state == StateRunning {
+		j.cancel()
+	}
+	j.mu.Unlock()
 }
 
 // testBeforeRun, when non-nil, runs in the worker goroutine before each job
@@ -737,27 +707,17 @@ func (s *Service) worker() {
 }
 
 func (s *Service) runJob(j *Job) {
+	if s.draining.Load() {
+		// Service shutting down: queued jobs are not started, only
+		// already-running ones drain. (A job cancelled while queued has
+		// already left StateQueued, and finish leaves it be.)
+		s.finish(j, StateQueued, outcome{state: StateCancelled, err: "cancelled by service shutdown"})
+		return
+	}
 	j.mu.Lock()
 	if j.state != StateQueued {
 		// Cancelled while queued; nothing to run.
 		j.mu.Unlock()
-		return
-	}
-	if s.draining.Load() {
-		// Service shutting down: queued jobs are not started, only
-		// already-running ones drain.
-		j.state = StateCancelled
-		j.errMsg = "cancelled by service shutdown"
-		j.finished = time.Now()
-		close(j.done)
-		s.cancelledN.Add(1)
-		j.mu.Unlock()
-		j.publishState(StateCancelled, "cancelled by service shutdown")
-		s.journalRecord(JournalEvent{
-			Type: EventState, ID: j.id, Key: j.key,
-			State: StateCancelled, Error: "cancelled by service shutdown", Time: time.Now(),
-		})
-		s.clearInflight(j.key, j)
 		return
 	}
 	timeout := j.spec.timeout()
@@ -793,52 +753,102 @@ func (s *Service) runJob(j *Job) {
 	s.busy.Add(1)
 	// Dispatch through the portfolio registry; the algo was validated (and,
 	// for guarantee-driven jobs, planned) at admission.
-	res, err := congestmwc.RunAlgorithmCtx(ctx, string(j.algo), j.graph, opts)
+	res, err := congestmwc.RunAlgorithmCtx(ctx, string(j.algo), j.g, opts)
 	cancel()
 	s.busy.Add(-1)
 
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.result = res // partial (Found == false) on cancellation/expiry
-	if col != nil {
-		j.summary = col.Summary()
-	}
+	// res is partial (Found == false) on cancellation and expiry.
+	o := outcome{state: StateDone, res: res, col: col}
 	switch {
 	case err == nil:
-		j.state = StateDone
-		s.cache.put(j.key, res)
-		s.doneN.Add(1)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.state = StateExpired
-		j.errMsg = err.Error()
-		s.expiredN.Add(1)
+		o.state, o.err = StateExpired, err.Error()
 	case errors.Is(err, context.Canceled):
-		j.state = StateCancelled
-		j.errMsg = err.Error()
-		s.cancelledN.Add(1)
+		o.state, o.err = StateCancelled, err.Error()
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.failedN.Add(1)
+		o.state, o.err = StateFailed, err.Error()
 	}
-	final, finalErr := j.state, j.errMsg
-	// Book the run into the service totals before the job turns terminal:
-	// Metrics read right after Wait must already include it.
-	s.bookRun(j.started.Sub(j.created), j.finished.Sub(j.started), res, col)
+	s.finish(j, StateRunning, o)
+}
+
+// outcome is how a job ends: its terminal state and error, and for a job
+// that ran, the run's result (partial unless done) and observer collector.
+// A cache hit carries the cached result.
+type outcome struct {
+	state State
+	err   string
+	res   *congestmwc.Result
+	col   *obs.Collector
+}
+
+// finish is the job's one terminal transition. It moves j from state from
+// to o.state, or returns false and does nothing when j has already left
+// from (a Cancel racing the worker, say). In this fixed order it
+//   - sets the terminal state, error, result and finished time;
+//   - bumps the state counter;
+//   - books the run, if j ran;
+//   - puts a result j computed into the cache;
+//   - drops j from the in-flight index;
+//   - closes done;
+//   - publishes the transition (closing the event hub);
+//   - appends the journal record (carrying a result j computed).
+//
+// Metrics, the cache and the in-flight index are therefore settled before
+// Wait returns: a resubmission after Wait runs afresh or hits the cache,
+// never finds the dead job. The journal append comes last, outside every
+// lock, so a durable result write and fsync stay off the waiter's path.
+// finish takes j.mu and flightMu only, so it runs with or without s.mu
+// held.
+func (s *Service) finish(j *Job, from State, o outcome) bool {
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return false
+	}
+	j.state, j.errMsg, j.result, j.finished = o.state, o.err, o.res, time.Now()
+	switch o.state {
+	case StateDone:
+		s.doneN.Add(1)
+	case StateFailed:
+		s.failedN.Add(1)
+	case StateCancelled:
+		s.cancelledN.Add(1)
+	case StateExpired:
+		s.expiredN.Add(1)
+	}
+	ran := from == StateRunning
+	computed := ran && o.state == StateDone
+	if ran {
+		if o.col != nil {
+			j.summary = o.col.Summary()
+		}
+		s.bookRun(j.started.Sub(j.created), j.finished.Sub(j.started), o.res, o.col)
+	}
+	if computed {
+		s.cache.put(j.key, o.res)
+	}
+	s.flightMu.Lock()
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
+	}
+	s.flightMu.Unlock()
 	close(j.done)
+	journaled, finished := j.journaled, j.finished
 	j.mu.Unlock()
 
-	j.publishState(final, finalErr) // terminal: closes the event hub
-	ev := JournalEvent{Type: EventState, ID: j.id, Key: j.key, State: final, Error: finalErr, Time: time.Now()}
-	if final == StateDone {
-		ev.Result = res
+	j.publishState(o.state, o.err)
+	if journaled {
+		ev := JournalEvent{Type: EventState, ID: j.id, Key: j.key, State: o.state, Error: o.err, Time: finished}
+		if computed {
+			ev.Result = o.res
+		}
+		s.journalRecord(ev)
 	}
-	s.journalRecord(ev)
-	s.clearInflight(j.key, j)
+	return true
 }
 
 // bookRun adds one executed job to the run histograms, the simulated
-// rounds/messages/words totals and the peak congestion figures. runJob
+// rounds/messages/words totals and the peak congestion figures. finish
 // calls it under the job lock; it takes only leaf locks (the histograms'
 // and peakMu).
 func (s *Service) bookRun(queueWait, runTime time.Duration, res *congestmwc.Result, col *obs.Collector) {
@@ -939,6 +949,12 @@ func (s *Service) Restore(rec RecoveredState) (warmed, requeued int, err error) 
 	sort.Slice(pending, func(i, k int) bool { return pending[i].ID < pending[k].ID })
 
 	var enqueue []*Job
+	// Restore's queueing policy: collect the jobs for blocking sends after
+	// the lock is released.
+	collect := func(j *Job) error {
+		enqueue = append(enqueue, j)
+		return nil
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -948,67 +964,18 @@ func (s *Service) Restore(rec RecoveredState) (warmed, requeued int, err error) 
 		s.nextID = rec.MaxID
 	}
 	for _, rj := range pending {
-		if n := idSuffix(rj.ID); n > s.nextID {
-			s.nextID = n
+		id := rj.ID
+		if id == "" {
+			id = s.newIDLocked()
 		}
-		now := time.Now()
-		j := &Job{
-			id:          rj.ID,
-			spec:        rj.Spec,
-			interrupted: rj.Interrupted,
-			created:     now,
-			done:        make(chan struct{}),
-		}
-		if j.id == "" {
-			j.id = s.newIDLocked()
-		}
+		// The spec was valid at its original admission, so journal
+		// corruption is the only way it fails to resolve now: the job is
+		// then parked as failed rather than dropped silently.
 		r, rerr := rj.Spec.resolve(s.cfg.MaxN)
 		if rerr != nil {
-			// The spec was valid at its original admission; journal
-			// corruption is the only way here. Park the job as failed
-			// rather than dropping it silently.
-			j.graph, j.opts = emptyGraph(), congestmwc.Options{}
-			j.state = StateFailed
-			j.errMsg = "recovery: " + rerr.Error()
-			j.finished = now
-			close(j.done)
-			s.attachStream(j, StateFailed)
-			s.failedN.Add(1)
-			s.record(j)
-			s.journalRecord(JournalEvent{
-				Type: EventState, ID: j.id, State: StateFailed, Error: j.errMsg, Time: now,
-			})
-			continue
+			rerr = fmt.Errorf("recovery: %w", rerr)
 		}
-		j.graph, j.opts, j.key = r.g, r.opts, cacheKey(r.g, r.algo, r.opts)
-		j.algo, j.decision = r.algo, r.dec
-		if res, ok := s.lookupLocked(j.key); ok {
-			j.state = StateDone
-			j.result = res
-			j.cacheHit = true
-			j.started, j.finished = now, now
-			close(j.done)
-			s.attachStream(j, StateDone)
-			s.doneN.Add(1)
-			s.record(j)
-			// Mark the job terminal in the journal (the result itself is
-			// already durable) so the next recovery does not re-enqueue it.
-			s.journalRecord(JournalEvent{
-				Type: EventState, ID: j.id, Key: j.key, State: StateDone, Time: now,
-			})
-			continue
-		}
-		j.state = StateQueued
-		s.attachStream(j, StateQueued)
-		s.record(j)
-		if s.inflight[j.key] == nil {
-			s.inflight[j.key] = j
-		}
-		s.journalRecord(JournalEvent{
-			Type: EventAdmit, ID: j.id, Key: j.key, State: StateQueued,
-			Time: now, Interrupted: rj.Interrupted, Spec: &rj.Spec,
-		})
-		enqueue = append(enqueue, j)
+		s.admitLocked(id, rj.Spec, r, rerr, rj.Interrupted, collect)
 	}
 	s.mu.Unlock()
 
@@ -1037,15 +1004,6 @@ func idSuffix(id string) int64 {
 	return 0
 }
 
-// emptyGraph is the placeholder graph of an unrecoverable job record.
-func emptyGraph() *congestmwc.Graph {
-	g, err := congestmwc.NewGraph(1, nil, congestmwc.Undirected)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // buildVersion reads the module version stamped into the binary, once.
 // "(devel)" builds and test binaries report it verbatim; a build without
 // build info at all reports "unknown".
@@ -1065,11 +1023,7 @@ func (s *Service) abortRunning() {
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		j.mu.Lock()
-		if j.state == StateRunning && j.cancel != nil {
-			j.cancel()
-		}
-		j.mu.Unlock()
+		j.abort()
 	}
 }
 

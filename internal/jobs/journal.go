@@ -20,10 +20,10 @@ const (
 )
 
 // JournalEvent is one job lifecycle event handed to the Journal. Events for
-// a single job are emitted in lifecycle order (admit → running → terminal),
-// except that a worker may emit the running transition before the
-// submitter's admit record lands; replay must therefore never let an admit
-// regress an already-recorded state.
+// a single job are emitted in lifecycle order (admit → running → terminal):
+// admission holds the job's lock until its admit record is recorded, and a
+// worker takes that lock before it records anything for the job. Replay
+// should still never let an admit regress an already-recorded state.
 type JournalEvent struct {
 	Type  JournalEventType
 	ID    string

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -60,7 +59,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
 		var spec jobs.Spec
-		if !decodeBody(w, r, maxBody, &spec) {
+		if !obs.DecodeJSON(w, r, maxBody, "invalid request", &spec) {
 			return
 		}
 		s, err := m.Create(spec)
@@ -68,19 +67,19 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s.Status())
+		obs.WriteJSON(w, http.StatusCreated, s.Status())
 	})
 	mux.HandleFunc("GET /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
 		var limit int
 		if raw := r.URL.Query().Get("limit"); raw != "" {
 			v, err := strconv.Atoi(raw)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q: not an integer", raw))
+				obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q: not an integer", raw))
 				return
 			}
 			limit = v
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"graphs": m.List(limit)})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"graphs": m.List(limit)})
 	})
 	mux.HandleFunc("GET /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -88,11 +87,11 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Status())
+		obs.WriteJSON(w, http.StatusOK, s.Status())
 	})
 	mux.HandleFunc("PUT /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		var rec store.SessionRecord
-		if !decodeBody(w, r, maxBody, &rec) {
+		if !obs.DecodeJSON(w, r, maxBody, "invalid request", &rec) {
 			return
 		}
 		rec.ID = r.PathValue("id")
@@ -101,7 +100,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Status())
+		obs.WriteJSON(w, http.StatusOK, s.Status())
 	})
 	mux.HandleFunc("PATCH /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -110,7 +109,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			return
 		}
 		var req PatchRequest
-		if !decodeBody(w, r, maxBody, &req) {
+		if !obs.DecodeJSON(w, r, maxBody, "invalid request", &req) {
 			return
 		}
 		res, err := s.Patch(req.Ops)
@@ -118,7 +117,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		obs.WriteJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("GET /v1/graphs/{id}/mwc", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -130,7 +129,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		if raw := r.URL.Query().Get("wait"); raw != "" {
 			d, err := time.ParseDuration(raw)
 			if err != nil || d < 0 {
-				httpError(w, http.StatusBadRequest,
+				obs.HTTPError(w, http.StatusBadRequest,
 					fmt.Sprintf("invalid wait %q: want a non-negative Go duration like 5s", raw))
 				return
 			}
@@ -146,7 +145,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		if st.State == StateComputing || st.Result == nil {
 			code = http.StatusAccepted
 		}
-		writeJSON(w, code, st)
+		obs.WriteJSON(w, code, st)
 	})
 	mux.HandleFunc("GET /v1/graphs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		s, err := m.Get(r.PathValue("id"))
@@ -156,66 +155,14 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		}
 		sub := s.Subscribe(cfg.EventBuffer)
 		if sub == nil {
-			httpError(w, http.StatusConflict,
+			obs.HTTPError(w, http.StatusConflict,
 				"session event streaming is disabled: start the service with observability on (mwcd -observe)")
 			return
 		}
-		defer sub.Close()
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
-			return
-		}
-		// Same epoch fencing as the jobs stream: IDs are
-		// "<generation>-<seq>", and a resume point from a previous
-		// generation (an earlier owning process) triggers a full replay.
-		epoch := s.Epoch()
-		var after uint64
-		if raw := r.Header.Get("Last-Event-ID"); raw != "" {
-			if ce, cs, ok := obs.ParseSSEID(raw); ok && ce == epoch {
-				after = cs
-			}
-		}
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		h.Set("X-Accel-Buffering", "no")
-		w.WriteHeader(http.StatusOK)
-		fl.Flush()
-
-		hb := time.NewTicker(heartbeat)
-		defer hb.Stop()
-		for {
-			select {
-			case ev, open := <-sub.Events():
-				if !open {
-					fmt.Fprintf(w, ": stream closed (dropped %d events)\n\n", sub.Dropped())
-					fl.Flush()
-					return
-				}
-				if ev.Seq <= after {
-					continue
-				}
-				data, err := json.Marshal(ev)
-				if err != nil {
-					return
-				}
-				if _, err := fmt.Fprintf(w, "id: %s\nevent: %s\ndata: %s\n\n",
-					obs.FormatSSEID(epoch, ev.Seq), ev.Type, data); err != nil {
-					return
-				}
-				fl.Flush()
-			case <-hb.C:
-				fmt.Fprint(w, ": heartbeat\n\n")
-				fl.Flush()
-			case <-r.Context().Done():
-				return
-			case <-m.cfg.Jobs.Draining():
-				fmt.Fprint(w, ": server draining\n\n")
-				fl.Flush()
-				return
-			}
-		}
+		// Same epoch fencing as the jobs stream: the epoch is the session's
+		// generation, so a resume point from an earlier owning process
+		// triggers a full replay.
+		obs.ServeSSE(w, r, sub, s.Epoch(), heartbeat, m.cfg.Jobs.Draining())
 	})
 	mux.HandleFunc("DELETE /v1/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Delete(r.PathValue("id"))
@@ -223,59 +170,24 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			writeSessionError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		obs.WriteJSON(w, http.StatusOK, st)
 	})
 	return mux
-}
-
-// decodeBody decodes a bounded, strict JSON body, writing the error
-// response itself on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBody int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit))
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "invalid request: "+err.Error())
-		return false
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "invalid request: trailing data after the JSON object")
-		return false
-	}
-	return true
 }
 
 // writeSessionError maps a manager error onto the wire.
 func writeSessionError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
-		httpError(w, http.StatusNotFound, err.Error())
+		obs.HTTPError(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, ErrTooMany):
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		obs.HTTPError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		httpError(w, http.StatusBadRequest, err.Error())
+		obs.HTTPError(w, http.StatusBadRequest, err.Error())
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
 }
 
 // WriteMetrics renders the session metrics in the Prometheus text
