@@ -35,14 +35,14 @@ func TestApproxGoldenModelCost(t *testing.T) {
 		{Undirected, 64, 2, goldenCost{3, 159, 53196, 9605, []int{0, 54, 1}}},
 		{Directed, 32, 1, goldenCost{2, 2574, 106856, 79342, []int{1, 0}}},
 		{Directed, 32, 2, goldenCost{2, 2153, 95159, 66215, []int{1, 0}}},
-		{UndirectedWeighted, 24, 1, goldenCost{6, 13147, 87573, 44990, []int{14, 22, 23}}},
-		{UndirectedWeighted, 24, 2, goldenCost{6, 13264, 109706, 53290, []int{1, 16, 4}}},
-		{DirectedWeighted, 20, 1, goldenCost{3, 18580, 79933, 55490, []int{12, 11}}},
-		{DirectedWeighted, 20, 2, goldenCost{2, 19365, 111380, 74284, []int{19, 18}}},
+		{UndirectedWeighted, 24, 1, goldenCost{6, 7448, 16205, 8454, []int{14, 22, 23}}},
+		{UndirectedWeighted, 24, 2, goldenCost{6, 7577, 21727, 11811, []int{1, 16, 4}}},
+		{DirectedWeighted, 20, 1, goldenCost{3, 7224, 9280, 5886, []int{12, 11}}},
+		{DirectedWeighted, 20, 2, goldenCost{2, 3653, 5624, 3371, []int{19, 18}}},
 		{Undirected, 96, 3, goldenCost{3, 227, 125434, 20924, []int{0, 76, 47}}},
 		{Directed, 40, 3, goldenCost{2, 3137, 160381, 121836, []int{1, 0}}},
-		{UndirectedWeighted, 32, 3, goldenCost{7, 16957, 161013, 74837, []int{0, 24, 12}}},
-		{DirectedWeighted, 24, 3, goldenCost{4, 22337, 106086, 76665, []int{10, 9}}},
+		{UndirectedWeighted, 32, 3, goldenCost{7, 9435, 29266, 14075, []int{0, 24, 12}}},
+		{DirectedWeighted, 24, 3, goldenCost{4, 8218, 8039, 5548, []int{10, 9}}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -283,3 +283,24 @@ func TestBuildAdjacencyConsistency(t *testing.T) {
 		}
 	}
 }
+
+// LevelsBelow keeps level i exactly when i == 1 or 2^(i-1) < bound, and all
+// levels for bound <= 0.
+func TestScalingLevelsBelow(t *testing.T) {
+	sc, err := NewScaling(16, 0.125, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.LevelsBelow(0); got != sc.Levels() {
+		t.Errorf("LevelsBelow(0) = %d, want all %d", got, sc.Levels())
+	}
+	for bound := int64(1); bound <= 1<<uint(sc.Levels()+1); bound++ {
+		got := sc.LevelsBelow(bound)
+		for i := 1; i <= sc.Levels(); i++ {
+			keep := i == 1 || int64(1)<<uint(i-1) < bound
+			if (i <= got) != keep {
+				t.Fatalf("bound %d: LevelsBelow = %d, level %d kept=%v want %v", bound, got, i, i <= got, keep)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Scaling implements the weight-scaling scheme of Section 5 (originally from
@@ -45,6 +46,29 @@ func NewScaling(h int, eps float64, maxW int64) (*Scaling, error) {
 // Levels returns the number of scaled graphs, ceil(log2(h*W)) + 1. Level
 // indices run from 1 to Levels.
 func (s *Scaling) Levels() int { return s.levels }
+
+// LevelsBelow returns how many leading levels to run when only estimates
+// below bound matter: the levels i with 2^(i-1) < bound, and always level 1
+// (bound <= 0 means no bound; all levels). Nothing is lost by the cut. For
+// a fixed path the rescaled estimate never decreases with the level, so its
+// best estimate comes from the lowest level j it fits in; if j > 1 the path
+// does not fit at j-1, its level-j scaled weight exceeds h*/2, and its
+// estimate exceeds 2^(j-1). An estimate below bound therefore always comes
+// from a level with 2^(j-1) < bound. Equally, the level ceil(log2 w) that
+// guarantees a (1+eps) estimate of a path of weight w < bound is kept.
+func (s *Scaling) LevelsBelow(bound int64) int {
+	if bound <= 0 {
+		return s.levels
+	}
+	l := bits.Len64(uint64(bound - 1)) // largest i with 2^(i-1) < bound
+	if l < 1 {
+		l = 1
+	}
+	if l > s.levels {
+		l = s.levels
+	}
+	return l
+}
 
 // HopBudget returns h* = ceil((1 + 2/eps) * h), the hop budget to use when
 // exploring a stretched scaled graph.

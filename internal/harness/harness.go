@@ -129,7 +129,7 @@ func UpperBoundsWithFactor(factor float64) map[Experiment]UpperBound {
 				return runMWC(n, seed,
 					gen.Random{N: n, P: pick(n), Directed: true, Weighted: true, MaxW: 32, Seed: seed},
 					func(net *congest.Network) (int64, bool, error) {
-						r, err := wmwc.Run(net, wmwc.Spec{Eps: eps, SampleFactor: factor})
+						r, err := wmwc.Run(net, wmwc.Spec{Eps: eps, SampleFactor: factor, PaperSchedule: true})
 						if err != nil {
 							return 0, false, err
 						}
@@ -157,7 +157,7 @@ func UpperBoundsWithFactor(factor float64) map[Experiment]UpperBound {
 				return runMWC(n, seed,
 					gen.Random{N: n, P: pick(n), Weighted: true, MaxW: 32, Seed: seed},
 					func(net *congest.Network) (int64, bool, error) {
-						r, err := wmwc.Run(net, wmwc.Spec{Eps: eps, SampleFactor: factor})
+						r, err := wmwc.Run(net, wmwc.Spec{Eps: eps, SampleFactor: factor, PaperSchedule: true})
 						if err != nil {
 							return 0, false, err
 						}

@@ -59,6 +59,13 @@ type Spec struct {
 	// Salt separates the shared-randomness sample from other phases run on
 	// the same network seed.
 	Salt int64
+	// Bound, when > 0, asks Run only for distances below it: every Dist
+	// entry below Bound is exactly the unbounded run's and every other
+	// entry is seq.Inf (RunSequential ignores it). The built-in weighted engine skips the scaling levels that
+	// cannot produce an estimate below Bound, and Run's broadcasts carry
+	// only distances below it. A caller that already holds a candidate of
+	// weight U passes U.
+	Bound int64
 	// Substrate overrides the h-hop multi-source distance engine used for
 	// the BFS steps (nil selects the class default: exact pipelined BFS
 	// for unweighted graphs, the scaled (1+eps) engine for weighted ones).
@@ -154,7 +161,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	values := make([][][]int64, n)
 	for j, t := range sampled {
 		for i := range sampled {
-			if d := sampleRes.Dist[t][i]; d < seq.Inf {
+			if d := sampleRes.Dist[t][i]; below(d, spec.Bound) {
 				values[t] = append(values[t], []int64{int64(i), int64(j), d})
 			}
 		}
@@ -180,7 +187,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	values = make([][][]int64, n)
 	for j, s := range sampled {
 		for i := range spec.Sources {
-			if d := srcRes.Dist[s][i]; d < seq.Inf {
+			if d := srcRes.Dist[s][i]; below(d, spec.Bound) {
 				values[s] = append(values[s], []int64{int64(i), int64(j), d})
 			}
 		}
@@ -246,6 +253,9 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 					}
 				}
 			}
+			if spec.Bound > 0 && best >= spec.Bound {
+				best, bestPred = seq.Inf, -1
+			}
 			row[u] = best
 			prow[u] = bestPred
 		}
@@ -260,6 +270,12 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		SkelDist:   skel,
 		Rounds:     net.Stats().Rounds - startRounds,
 	}, nil
+}
+
+// below reports whether a finite distance d lies below the spec's Bound
+// (bound <= 0: no bound).
+func below(d, bound int64) bool {
+	return d < seq.Inf && (bound <= 0 || d < bound)
 }
 
 // runHopDist runs the h-hop multi-source distance computation appropriate
@@ -287,6 +303,7 @@ func runHopDist(net *congest.Network, spec Spec, sources []int, h int, dir proto
 		H:       h,
 		Eps:     spec.Eps,
 		Dir:     dir,
+		Bound:   spec.Bound,
 	})
 }
 

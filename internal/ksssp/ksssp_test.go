@@ -303,3 +303,50 @@ func TestRunSequentialWithSubstrate(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBoundKeepsDistancesBelow: with Bound set, every entry below it is
+// the unbounded run's (distance and predecessor), every other entry is
+// seq.Inf, and the weighted run costs fewer rounds and messages.
+func TestRunBoundKeepsDistancesBelow(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g, err := (gen.Random{N: 40, P: 0.08, Directed: directed, Weighted: true,
+			MaxW: 50, Seed: 6}).Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := Spec{Sources: []int{0, 9, 21, 30}, Eps: 0.25, Dir: proto.Forward}
+		fullNet := newNet(t, g, 8)
+		full, err := Run(fullNet, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Bound = 40
+		cappedNet := newNet(t, g, 8)
+		capped, err := Run(cappedNet, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if capped.Rounds >= full.Rounds || cappedNet.Stats().Messages >= fullNet.Stats().Messages {
+			t.Errorf("directed=%v: bounded run %d rounds/%d messages, unbounded %d/%d", directed,
+				capped.Rounds, cappedNet.Stats().Messages, full.Rounds, fullNet.Stats().Messages)
+		}
+		kept := 0
+		for v := range full.Dist {
+			for i, d := range full.Dist[v] {
+				wantD, wantP := d, full.Pred[v][i]
+				if d >= spec.Bound {
+					wantD, wantP = seq.Inf, -1
+				} else {
+					kept++
+				}
+				if capped.Dist[v][i] != wantD || capped.Pred[v][i] != wantP {
+					t.Fatalf("directed=%v: dist[%d][%d] = %d/pred %d, want %d/pred %d", directed, v, i,
+						capped.Dist[v][i], capped.Pred[v][i], wantD, wantP)
+				}
+			}
+		}
+		if kept == 0 {
+			t.Errorf("directed=%v: no distance below the bound; the test checks nothing", directed)
+		}
+	}
+}

@@ -239,3 +239,56 @@ func TestStretchedSharedLinkSendOrder(t *testing.T) {
 		}
 	}
 }
+
+// A Bound on the scaled SSSP skips the levels that cannot produce an
+// estimate below it: every pair whose unbounded estimate is below Bound
+// keeps exactly that estimate and predecessor, no bounded estimate
+// undercuts the unbounded one, and the run never costs more rounds. Small
+// hop budgets make the hop limit bite, where a high level can be the
+// only one a path fits in.
+func TestApproxHopSSSPBoundKeepsEstimatesBelow(t *testing.T) {
+	for _, tc := range []struct {
+		directed bool
+		maxW     int64
+		h        int
+	}{
+		{false, 9, 30}, {false, 9, 3}, {true, 9, 4}, {false, 1000, 5}, {true, 1000, 30},
+	} {
+		g, err := (gen.Random{N: 30, P: 0.12, Directed: tc.directed, Weighted: true,
+			MaxW: tc.maxW, Seed: tc.maxW + int64(tc.h)}).Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := Undirected
+		if tc.directed {
+			dir = Forward
+		}
+		spec := ApproxHopSSSPSpec{Sources: []int{0, 7, 19}, H: tc.h, Eps: 0.5, Dir: dir}
+		full, err := RunApproxHopSSSP(newNet(t, g), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range []int64{1, 2, 3, 5, 8, tc.maxW, 3 * tc.maxW, 1 << 40} {
+			spec.Bound = bound
+			capped, err := RunApproxHopSSSP(newNet(t, g), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if capped.Rounds > full.Rounds || (bound == 2 && capped.Rounds == full.Rounds) {
+				t.Errorf("%+v bound %d: %d rounds, unbounded %d", tc, bound, capped.Rounds, full.Rounds)
+			}
+			for v := range full.Dist {
+				for i, d := range full.Dist[v] {
+					c := capped.Dist[v][i]
+					if c < d {
+						t.Fatalf("%+v bound %d: dist[%d][%d] = %d undercuts unbounded %d", tc, bound, v, i, c, d)
+					}
+					if d < bound && (c != d || capped.Pred[v][i] != full.Pred[v][i]) {
+						t.Fatalf("%+v bound %d: dist[%d][%d] = %d/pred %d, unbounded %d/pred %d",
+							tc, bound, v, i, c, capped.Pred[v][i], d, full.Pred[v][i])
+					}
+				}
+			}
+		}
+	}
+}

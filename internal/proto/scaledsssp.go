@@ -66,6 +66,12 @@ type ApproxHopSSSPSpec struct {
 	Dir Direction
 	// Budget caps rounds per level (<= 0: default).
 	Budget int
+	// Bound, when > 0, skips the levels that cannot produce an estimate
+	// below it (graph.Scaling.LevelsBelow: levels i > 1 with
+	// 2^(i-1) >= Bound). Every estimate below Bound is then exactly the
+	// unbounded run's; larger ones are still upper bounds on the distance
+	// but may exceed (1+eps) d or be missing.
+	Bound int64
 }
 
 // RunApproxHopSSSP executes the spec. The input graph must be weighted (use
@@ -106,7 +112,7 @@ func RunApproxHopSSSP(net *congest.Network, spec ApproxHopSSSPSpec) (*MultiBFSRe
 		}
 	}
 	hstar := int64(sc.HopBudget())
-	for level := 1; level <= sc.Levels(); level++ {
+	for level := 1; level <= sc.LevelsBelow(spec.Bound); level++ {
 		level := level
 		sub := MultiBFSSpec{
 			Sources: spec.Sources,

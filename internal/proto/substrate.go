@@ -2,8 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"congestmwc/internal/congest"
 	"congestmwc/internal/graph"
@@ -38,11 +36,11 @@ type HopDistSpec struct {
 }
 
 // Substrate is one interchangeable multi-source shortest-path engine on the
-// CONGEST simulator. Substrates register themselves by name so planners and
-// CLIs can select them per run without the MWC logic knowing which engines
-// exist.
+// CONGEST simulator. Algorithms take one in their Spec (nil selects
+// DefaultSubstrate) so a caller can swap engines per run without the MWC
+// logic knowing which engines exist.
 type Substrate interface {
-	// Name identifies the substrate in registries, specs and logs.
+	// Name identifies the substrate in errors and logs.
 	Name() string
 	// Exact reports whether returned distances are exact (required by
 	// exact MWC algorithms; approximate substrates return (1+eps) bounds).
@@ -169,10 +167,11 @@ func (ScaledSubstrate) Exact() bool { return false }
 func (ScaledSubstrate) Supports(weighted bool) bool { return weighted }
 
 // Run implements Substrate. A zero hop budget defaults to n (all simple
-// paths). The weight Bound is applied as a post-filter: pruning inside the
-// scaled levels would interact with the (1+eps) rounding, so the levels run
-// under their own hop-budget bound and estimates above Bound are dropped
-// afterwards.
+// paths). The weight Bound skips the levels that cannot produce an
+// estimate within it and is then applied as a post-filter: the levels
+// that do run keep their own hop-budget bound, since pruning inside them
+// would interact with the (1+eps) rounding, and estimates above Bound are
+// dropped afterwards.
 func (ScaledSubstrate) Run(net *congest.Network, spec HopDistSpec) (*MultiBFSResult, error) {
 	if spec.Eps <= 0 {
 		return nil, fmt.Errorf("proto: scaled substrate needs eps > 0")
@@ -181,13 +180,17 @@ func (ScaledSubstrate) Run(net *congest.Network, spec HopDistSpec) (*MultiBFSRes
 	if h <= 0 {
 		h = net.Graph().N()
 	}
-	res, err := RunApproxHopSSSP(net, ApproxHopSSSPSpec{
+	aspec := ApproxHopSSSPSpec{
 		Sources: spec.Sources,
 		H:       h,
 		Eps:     spec.Eps,
 		Dir:     spec.Dir,
 		Budget:  spec.Budget,
-	})
+	}
+	if spec.Bound > 0 {
+		aspec.Bound = spec.Bound + 1 // keep estimates <= Bound
+	}
+	res, err := RunApproxHopSSSP(net, aspec)
 	if err != nil {
 		return nil, err
 	}
@@ -204,43 +207,6 @@ func (ScaledSubstrate) Run(net *congest.Network, spec HopDistSpec) (*MultiBFSRes
 	return res, nil
 }
 
-var (
-	substrateMu sync.RWMutex
-	substrates  = map[string]Substrate{}
-)
-
-// RegisterSubstrate adds a substrate to the registry. It panics on a
-// duplicate name: registration happens at init time and a clash is a
-// programming error.
-func RegisterSubstrate(s Substrate) {
-	substrateMu.Lock()
-	defer substrateMu.Unlock()
-	if _, dup := substrates[s.Name()]; dup {
-		panic(fmt.Sprintf("proto: duplicate substrate %q", s.Name()))
-	}
-	substrates[s.Name()] = s
-}
-
-// SubstrateByName looks a substrate up by its registered name.
-func SubstrateByName(name string) (Substrate, bool) {
-	substrateMu.RLock()
-	defer substrateMu.RUnlock()
-	s, ok := substrates[name]
-	return s, ok
-}
-
-// SubstrateNames lists the registered substrate names, sorted.
-func SubstrateNames() []string {
-	substrateMu.RLock()
-	defer substrateMu.RUnlock()
-	names := make([]string, 0, len(substrates))
-	for name := range substrates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // DefaultSubstrate returns the class-default engine: exact BFS for
 // unweighted graphs; for weighted graphs the scaled (1+eps) engine when an
 // accuracy parameter is given, exact Bellman-Ford otherwise.
@@ -252,10 +218,4 @@ func DefaultSubstrate(weighted bool, eps float64) Substrate {
 		return ScaledSubstrate{}
 	}
 	return BellmanFordSubstrate{}
-}
-
-func init() {
-	RegisterSubstrate(BFSSubstrate{})
-	RegisterSubstrate(BellmanFordSubstrate{})
-	RegisterSubstrate(ScaledSubstrate{})
 }

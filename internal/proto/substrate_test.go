@@ -7,31 +7,6 @@ import (
 	"congestmwc/internal/seq"
 )
 
-func TestSubstrateRegistry(t *testing.T) {
-	names := SubstrateNames()
-	want := []string{"bellman-ford", "bfs", "scaled"}
-	if len(names) != len(want) {
-		t.Fatalf("SubstrateNames = %v, want %v", names, want)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("SubstrateNames = %v, want %v", names, want)
-		}
-	}
-	for _, n := range want {
-		s, ok := SubstrateByName(n)
-		if !ok {
-			t.Fatalf("SubstrateByName(%q) missing", n)
-		}
-		if s.Name() != n {
-			t.Errorf("substrate %q reports name %q", n, s.Name())
-		}
-	}
-	if _, ok := SubstrateByName("dijkstra"); ok {
-		t.Error("unregistered substrate resolved")
-	}
-}
-
 func TestDefaultSubstrate(t *testing.T) {
 	if s := DefaultSubstrate(false, 0); s.Name() != "bfs" {
 		t.Errorf("unweighted default = %q, want bfs", s.Name())
@@ -175,5 +150,36 @@ func TestSubstrateClassGuards(t *testing.T) {
 	}
 	if !(ScaledSubstrate{}).Supports(true) || (ScaledSubstrate{}).Supports(false) {
 		t.Error("scaled Supports wrong")
+	}
+}
+
+func TestScaledSubstrateBoundSkipsLevels(t *testing.T) {
+	g, err := (gen.Random{N: 36, P: 0.12, Weighted: true, MaxW: 9, Seed: 4}).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := HopDistSpec{Sources: []int{0, 5}, Dir: Undirected, Eps: 0.5}
+	full, err := ScaledSubstrate{}.Run(newNet(t, g), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Bound = 6
+	capped, err := ScaledSubstrate{}.Run(newNet(t, g), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.Rounds >= full.Rounds {
+		t.Errorf("bounded run took %d rounds, unbounded %d: no level skipped", capped.Rounds, full.Rounds)
+	}
+	for v := range full.Dist {
+		for i, d := range full.Dist[v] {
+			want := d
+			if d > spec.Bound {
+				want = seq.Inf
+			}
+			if got := capped.Dist[v][i]; got != want {
+				t.Fatalf("dist[%d][%d] = %d, want %d (unbounded %d, bound %d)", v, i, got, want, d, spec.Bound)
+			}
+		}
 	}
 }

@@ -134,6 +134,12 @@ type Manager struct {
 	nextID   int64
 	closed   bool
 
+	// stop is cancelled by Close; loops counts running recompute loops,
+	// which Close waits for.
+	stop     context.Context
+	stopLoop context.CancelFunc
+	loops    sync.WaitGroup
+
 	created       atomic.Uint64
 	closedN       atomic.Uint64
 	patches       atomic.Uint64
@@ -154,7 +160,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 1024
 	}
-	return &Manager{cfg: cfg, sessions: make(map[string]*Session)}, nil
+	m := &Manager{cfg: cfg, sessions: make(map[string]*Session)}
+	m.stop, m.stopLoop = context.WithCancel(context.Background())
+	return m, nil
 }
 
 // Session is one dynamic graph: a mutable edge set, the cached MWC answer
@@ -318,12 +326,20 @@ func (m *Manager) List(limit int) []Status {
 	return out
 }
 
-// Close marks the manager closed. Open sessions stay durable on disk (the
-// next process restores them); in-flight recompute loops exit on their
-// own once they observe their session closed or the job service draining.
+// Close marks the manager closed and waits for every recompute loop to
+// exit, so nothing writes to the store once Close returns. Open sessions
+// stay durable on disk (the next process restores them); a recompute still
+// in flight is abandoned, leaving its record stale-by-version for the next
+// process to resume.
 func (m *Manager) Close() {
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		m.loops.Wait()
+		return
+	}
 	m.closed = true
+	m.stopLoop()
 	sessions := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
 		sessions = append(sessions, s)
@@ -340,6 +356,7 @@ func (m *Manager) Close() {
 			stream.Close()
 		}
 	}
+	m.loops.Wait()
 }
 
 // Restore re-opens every durable session under a bumped generation (the
@@ -760,6 +777,7 @@ func (s *Session) scheduleRecomputeLocked() {
 	}
 	s.computing = true
 	s.failedMsg = ""
+	s.mgr.loops.Add(1)
 	go s.recomputeLoop()
 	s.publishState(StateComputing, "")
 }
@@ -767,13 +785,15 @@ func (s *Session) scheduleRecomputeLocked() {
 // recomputeLoop submits the current edge set through the job service and
 // folds the answer back, repeating while PATCHes race ahead of it. It
 // exits clean (result covers the latest version), failed (admission or
-// the job itself errored), or when the session closes.
+// the job itself errored), or when the session or the manager closes.
 func (s *Session) recomputeLoop() {
+	defer s.mgr.loops.Done()
 	for {
 		s.mu.Lock()
-		if s.closed || (s.result != nil && s.resultVersion == s.version) {
+		stopped := s.closed || s.mgr.stop.Err() != nil
+		if stopped || (s.result != nil && s.resultVersion == s.version) {
 			s.computing = false
-			if !s.closed {
+			if !stopped {
 				s.publishState(StateClean, "")
 			}
 			s.notifyLocked()
@@ -787,18 +807,24 @@ func (s *Session) recomputeLoop() {
 		s.mgr.recomputes.Add(1)
 		j, err := s.mgr.cfg.Jobs.Submit(spec)
 		if errors.Is(err, jobs.ErrQueueFull) {
-			time.Sleep(50 * time.Millisecond) // backpressure: retry, the session owes an answer
+			// Backpressure: retry, the session owes an answer.
+			select {
+			case <-time.After(50 * time.Millisecond):
+			case <-s.mgr.stop.Done():
+			}
 			continue
 		}
 		if err != nil {
 			s.fail(fmt.Sprintf("recompute admission: %v", err))
 			return
 		}
-		st, _ := j.Wait(context.Background())
+		st, err := j.Wait(s.mgr.stop)
 		switch {
+		case err != nil:
+			continue // the manager closed; the loop head exits
 		case st.State == jobs.StateDone && st.Result != nil:
 			s.mu.Lock()
-			if version > s.resultVersion {
+			if version > s.resultVersion && !s.closed {
 				s.result = &congestmwc.Result{
 					Weight:   st.Result.Weight,
 					Found:    st.Result.Found,

@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -324,4 +325,82 @@ func TestAdoptIdempotent(t *testing.T) {
 		t.Error("second Adopt built a new session")
 	}
 	waitClean(t, s1)
+}
+
+// sealedStore is an in-memory SessionStore that reports every write made
+// after seal() on late.
+type sealedStore struct {
+	mu     sync.Mutex
+	sealed bool
+	late   chan string
+}
+
+func (st *sealedStore) WriteSession(rec *store.SessionRecord) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.sealed {
+		select {
+		case st.late <- rec.ID:
+		default:
+		}
+	}
+	return nil
+}
+
+func (st *sealedStore) DeleteSession(string) error                    { return nil }
+func (st *sealedStore) ReadSessions() ([]*store.SessionRecord, error) { return nil, nil }
+
+func (st *sealedStore) seal() {
+	st.mu.Lock()
+	st.sealed = true
+	st.mu.Unlock()
+}
+
+// TestCloseWaitsForRecomputeWriteBack: a recompute still in flight when
+// Close is called must not write its result back afterwards. The single
+// worker is held by a slow job, so the session's recompute is queued when
+// Close runs and completes only once the slow job expires.
+func TestCloseWaitsForRecomputeWriteBack(t *testing.T) {
+	svc := jobs.New(jobs.Config{Workers: 1, QueueCap: 8, DefaultTimeout: time.Minute})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_ = svc.Close(ctx)
+	})
+	blocker, err := svc.Submit(jobs.Spec{
+		Graph:     jobs.GraphSpec{Class: "ud", Gen: &jobs.GenSpec{Kind: "ring", N: 4096}},
+		Algo:      jobs.AlgoExact,
+		TimeoutMS: 150,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blocker.Status().State == jobs.StateQueued {
+		time.Sleep(time.Millisecond)
+	}
+	st := &sealedStore{late: make(chan string, 1)}
+	m, err := NewManager(Config{Jobs: svc, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Create(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Status().State; got != StateComputing {
+		t.Fatalf("session state %s before Close, want %s", got, StateComputing)
+	}
+	for len(svc.List(10)) < 2 { // the recompute is queued behind the blocker
+		time.Sleep(time.Millisecond)
+	}
+	m.Close()
+	st.seal()
+	if _, err := blocker.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-st.late:
+		t.Fatalf("session %s written after Close returned", id)
+	case <-time.After(time.Second):
+	}
 }

@@ -1,6 +1,7 @@
 package wmwc
 
 import (
+	"fmt"
 	"testing"
 
 	"congestmwc/internal/congest"
@@ -255,5 +256,108 @@ func TestRunHopThresholdOverride(t *testing.T) {
 		if !res.Found || res.Weight < want || float64(res.Weight) > 2.5*float64(want)+2 {
 			t.Errorf("h=%d: got (%d,%v) for MWC %d", h, res.Weight, res.Found, want)
 		}
+	}
+}
+
+// TestAdaptiveScheduleMatchesPaper sweeps both weighted classes: the
+// adaptive schedule must return the paper schedule's weight and Found, a
+// valid witness exactly when the paper run has one, and never cost more
+// rounds or messages.
+func TestAdaptiveScheduleMatchesPaper(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		for _, n := range []int{16, 24} {
+			for _, maxW := range []int64{16, 1024} {
+				for seed := int64(0); seed < 4; seed++ {
+					g, err := (gen.Random{N: n, P: 4 / float64(n), Directed: directed,
+						Weighted: true, MaxW: maxW, Seed: seed}).Graph()
+					if err != nil {
+						t.Fatal(err)
+					}
+					paperNet, adaptNet := newNet(t, g, seed), newNet(t, g, seed)
+					paper, err := Run(paperNet, Spec{Eps: 0.5, PaperSchedule: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					adapt, err := Run(adaptNet, Spec{Eps: 0.5})
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("directed=%v n=%d maxW=%d seed=%d", directed, n, maxW, seed)
+					if adapt.Weight != paper.Weight || adapt.Found != paper.Found {
+						t.Errorf("%s: adaptive (%d,%v), paper (%d,%v)", name,
+							adapt.Weight, adapt.Found, paper.Weight, paper.Found)
+					}
+					if (adapt.Cycle == nil) != (paper.Cycle == nil) {
+						t.Errorf("%s: adaptive witness %v, paper witness %v", name, adapt.Cycle, paper.Cycle)
+					}
+					if adapt.Cycle != nil {
+						if w, err := seq.VerifyCycle(g, adapt.Cycle); err != nil || w > adapt.Weight {
+							t.Errorf("%s: witness %v invalid (weight %d, err %v)", name, adapt.Cycle, w, err)
+						}
+					}
+					if adapt.Rounds > paper.Rounds {
+						t.Errorf("%s: adaptive %d rounds > paper %d", name, adapt.Rounds, paper.Rounds)
+					}
+					if a, p := adaptNet.Stats().Messages, paperNet.Stats().Messages; a > p {
+						t.Errorf("%s: adaptive %d messages > paper %d", name, a, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShortLevelSkippedIffCapped checks the cut-off level by level: under
+// the adaptive schedule level i runs if and only if 2^(i-1) < U, the
+// minimum of the levels before it, and the paper schedule runs them all.
+func TestShortLevelSkippedIffCapped(t *testing.T) {
+	const h, eps, factor = 6, 0.5, 3.0
+	skipped := 0
+	for _, directed := range []bool{false, true} {
+		for seed := int64(0); seed < 4; seed++ {
+			g, err := (gen.Random{N: 20, P: 0.2, Directed: directed, Weighted: true,
+				MaxW: 64, Seed: seed}).Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := graph.NewScaling(h, eps/4, g.MaxWeight())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, paper := range []bool{false, true} {
+				var ran []int64 // estimate per level run, level i at index i-1
+				short, _, err := shortCycles(newNet(t, g, seed), Spec{Eps: eps, PaperSchedule: paper},
+					h, factor, eps/4, func(level int, est int64) {
+						if level != len(ran)+1 {
+							t.Fatalf("level %d ran after %d levels", level, len(ran))
+						}
+						ran = append(ran, est)
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				u := seq.Inf
+				for i := 1; i <= sc.Levels(); i++ {
+					want := paper || int64(1)<<(i-1) < u
+					if got := i <= len(ran); got != want {
+						t.Errorf("directed=%v seed=%d paper=%v: level %d ran=%v, want %v (U=%d)",
+							directed, seed, paper, i, got, want, u)
+					}
+					if i > len(ran) {
+						skipped++
+						continue
+					}
+					if ran[i-1] < u {
+						u = ran[i-1]
+					}
+				}
+				if u != short {
+					t.Errorf("directed=%v seed=%d paper=%v: short %d, level minimum %d", directed, seed, paper, short, u)
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Error("no level was skipped on any instance")
 	}
 }

@@ -43,8 +43,8 @@ func TestRoundCountRegression(t *testing.T) {
 	}{
 		{class: Undirected, approxRounds: 122, approxWeight: 3, exactRounds: 107, exactWeight: 3},
 		{class: Directed, approxRounds: 3923, approxWeight: 2, exactRounds: 60, exactWeight: 2},
-		{class: UndirectedWeighted, approxRounds: 22465, approxWeight: 8, exactRounds: 109, exactWeight: 8},
-		{class: DirectedWeighted, approxRounds: 45270, approxWeight: 3, exactRounds: 61, exactWeight: 3},
+		{class: UndirectedWeighted, approxRounds: 12477, approxWeight: 8, exactRounds: 109, exactWeight: 8},
+		{class: DirectedWeighted, approxRounds: 15537, approxWeight: 3, exactRounds: 61, exactWeight: 3},
 	}
 	for _, tc := range cases {
 		tc := tc
