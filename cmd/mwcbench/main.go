@@ -43,13 +43,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mwcbench", flag.ContinueOnError)
 	var (
-		expFlag  = fs.String("exp", "all", "experiment ID (see -list) or 'all'")
-		sizesArg = fs.String("sizes", "64,128,256", "comma-separated instance sizes")
-		scales   = fs.String("scales", "4,6,8,12", "comma-separated lower-bound scales")
-		reps     = fs.Int("reps", 2, "repetitions (seeds) per size")
-		seed     = fs.Int64("seed", 1, "base seed")
-		list     = fs.Bool("list", false, "list experiment IDs and exit")
-		factor   = fs.Float64("factor", 0, "sampling constant override (0 = algorithm default)")
+		expFlag   = fs.String("exp", "all", "experiment ID (see -list) or 'all'")
+		sizesArg  = fs.String("sizes", "64,128,256", "comma-separated instance sizes")
+		scales    = fs.String("scales", "4,6,8,12", "comma-separated lower-bound scales")
+		reps      = fs.Int("reps", 2, "repetitions (seeds) per size")
+		seed      = fs.Int64("seed", 1, "base seed")
+		list      = fs.Bool("list", false, "list experiment IDs and exit")
+		factor    = fs.Float64("factor", 0, "sampling constant override (0 = algorithm default)")
 		jsonOut   = fs.Bool("json", false, "emit the bench/ baseline JSON schema instead of tables")
 		portfolio = fs.Bool("portfolio", false, "run the algorithm-portfolio profile (one case per registered algorithm) instead of Table-1 experiments; requires -json")
 	)

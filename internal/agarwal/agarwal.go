@@ -2,16 +2,16 @@
 // Agarwal's successor work on exact minimum weight cycle via multi-source
 // shortest paths (arXiv:2310.00782): instead of one monolithic n-source
 // APSP (internal/exact), the sources are processed in deterministic batches
-// of k through the pluggable-SSSP seam of internal/proto, and the best
-// cycle weight found so far prunes every later batch.
+// of k through proto.HopDist, and the best cycle weight found so far
+// prunes every later batch.
 //
 // Per batch B of k sources the algorithm runs one exact multi-source
-// shortest-path computation (pipelined BFS on unweighted graphs,
-// pipelined Bellman-Ford on weighted ones — both exact, both pluggable),
-// extracts cycle candidates exactly as the APSP reduction does, and
-// convergecasts the running minimum U. Later batches pass U as the
-// substrate's weight bound: distance estimates above U are discarded at
-// record time and never forwarded.
+// shortest-path computation (proto.HopDist with no eps: pipelined BFS on
+// unit weights, pipelined Bellman-Ford otherwise), extracts cycle
+// candidates exactly as the APSP reduction does, and convergecasts the
+// running minimum U. Later batches ask only for distances of at most U
+// (HopDistSpec.Bound = U+1): larger estimates are discarded at record time
+// and never forwarded.
 //
 // Pruning is lossless. U is always the weight of a real cycle, so the
 // final answer is at most U at every point. Any candidate that beats the
@@ -47,11 +47,6 @@ type Spec struct {
 	// ceil(sqrt(n)), balancing the O(k + ecc) per-batch pipeline cost
 	// against the n/k convergecast barriers.
 	BatchSize int
-	// Substrate is the exact shortest-path engine run per batch (nil
-	// selects the class default: pipelined BFS for unweighted graphs,
-	// pipelined Bellman-Ford for weighted ones). It must be exact and
-	// support the graph's weight regime.
-	Substrate proto.Substrate
 	// NoPrune disables the candidate-driven weight bound (used by tests to
 	// pin down that pruning never changes the answer).
 	NoPrune bool
@@ -94,20 +89,6 @@ func MWC(net *congest.Network, spec Spec) (*Result, error) {
 	if k > n {
 		k = n
 	}
-	// Unit-BFS is only sound when every arc length is exactly 1; a weighted
-	// graph mixing weight-0 and weight-1 edges must go through Bellman-Ford
-	// even though its MaxWeight is 1.
-	nonUnit := !proto.UnitWeights(g)
-	sub := spec.Substrate
-	if sub == nil {
-		sub = proto.DefaultSubstrate(nonUnit, 0)
-	}
-	if !sub.Exact() {
-		return nil, fmt.Errorf("agarwal: substrate %q is approximate; exact MWC needs an exact substrate", sub.Name())
-	}
-	if nonUnit && !sub.Supports(true) {
-		return nil, fmt.Errorf("agarwal: substrate %q does not support weighted graphs", sub.Name())
-	}
 	dir := proto.Undirected
 	if g.Directed() {
 		dir = proto.Forward
@@ -144,12 +125,12 @@ func MWC(net *congest.Network, spec Spec) (*Result, error) {
 		}
 		bound := int64(0)
 		if !spec.NoPrune && best < seq.Inf {
-			bound = best
+			bound = best + 1
 		}
 		batches++
 
 		net.BeginPhase("agarwal:batch-sssp")
-		res, err := sub.Run(net, proto.HopDistSpec{Sources: batch, Dir: dir, Bound: bound})
+		res, err := proto.HopDist(net, proto.HopDistSpec{Sources: batch, Dir: dir, Bound: bound})
 		net.EndPhase()
 		if err != nil {
 			return nil, fmt.Errorf("agarwal: batch at %d: %w", lo, err)

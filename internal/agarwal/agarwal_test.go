@@ -6,7 +6,6 @@ import (
 	"congestmwc/internal/congest"
 	"congestmwc/internal/gen"
 	"congestmwc/internal/graph"
-	"congestmwc/internal/proto"
 	"congestmwc/internal/seq"
 )
 
@@ -158,19 +157,6 @@ func TestAcyclicFindsNothing(t *testing.T) {
 	}
 }
 
-func TestRejectsApproximateSubstrate(t *testing.T) {
-	g, err := (gen.Random{N: 12, P: 0.3, Weighted: true, MaxW: 9, Seed: 1}).Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MWC(newNet(t, g, 1), Spec{Substrate: proto.ScaledSubstrate{}}); err == nil {
-		t.Fatal("approximate substrate accepted")
-	}
-	if _, err := MWC(newNet(t, g, 1), Spec{Substrate: proto.BFSSubstrate{}}); err == nil {
-		t.Fatal("unit-weight substrate accepted on a weighted graph")
-	}
-}
-
 func TestPruningSavesWork(t *testing.T) {
 	// A planted short cycle at low vertex IDs should let pruning bound the
 	// later batches: the pruned run may not use more rounds than the
@@ -199,7 +185,7 @@ func TestPruningSavesWork(t *testing.T) {
 
 // TestZeroOneWeightsUseWeightedSubstrate: a weighted graph mixing weight-0
 // and weight-1 edges has MaxWeight 1, but hop counting is still wrong for
-// it — the substrate choice must key on unit weights, not the maximum.
+// it — HopDist's engine choice must key on unit weights, not the maximum.
 // Regression for a bug the portfolio conformance harness caught: the
 // zero-weight fuzz shape with maxW=1 returned hop counts as cycle weights.
 func TestZeroOneWeightsUseWeightedSubstrate(t *testing.T) {

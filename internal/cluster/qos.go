@@ -47,10 +47,10 @@ type FairQueue struct {
 	waiters  waiterHeap
 	seq      uint64 // FIFO tie-break for equal virtual finish times
 
-	admitted  uint64
-	waited    uint64
-	rejected  uint64 // quota rejections
-	bounced   uint64 // TryAcquire capacity bounces
+	admitted uint64
+	waited   uint64
+	rejected uint64 // quota rejections
+	bounced  uint64 // TryAcquire capacity bounces
 }
 
 type tenantState struct {
@@ -233,12 +233,12 @@ func (q *FairQueue) abandon(w *waiter) {
 
 // QueueMetrics is a point-in-time snapshot of the gate.
 type QueueMetrics struct {
-	Capacity  float64
-	Inflight  float64
-	Waiting   int
-	Admitted  uint64
-	Waited    uint64
-	QuotaRejected uint64
+	Capacity        float64
+	Inflight        float64
+	Waiting         int
+	Admitted        uint64
+	Waited          uint64
+	QuotaRejected   uint64
 	CapacityBounced uint64
 }
 

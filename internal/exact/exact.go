@@ -2,10 +2,10 @@
 // O~(n)-round algorithms obtained by reducing MWC to all-pairs shortest
 // paths ([8, 28, 37] in the paper; [3, 50] for the reductions).
 //
-// The APSP substrate is the pipelined n-source distance computation of
-// internal/proto (priority-forwarding distributed Bellman-Ford; for
-// unweighted graphs this is the classical pipelined n-source BFS of
-// Holzer-Wattenhofer / Lenzen-Patt-Shamir with O(n + D) rounds).
+// The APSP is one exact n-source proto.HopDist: priority-forwarding
+// distributed Bellman-Ford on weighted graphs and, on unit weights, the
+// classical pipelined n-source BFS of Holzer-Wattenhofer /
+// Lenzen-Patt-Shamir with O(n + D) rounds.
 //
 // MWC extraction:
 //
@@ -67,18 +67,12 @@ func MWC(net *congest.Network) (*Result, error) {
 	for i := range all {
 		all[i] = i
 	}
-	var length func(graph.Arc) int64
-	if g.Weighted() {
-		length = func(a graph.Arc) int64 { return a.Weight }
-	}
 	dir := proto.Forward
 	if !g.Directed() {
 		dir = proto.Undirected
 	}
 	net.BeginPhase("exact:apsp")
-	res, err := proto.RunMultiBFS(net, proto.MultiBFSSpec{
-		Sources: all, Dir: dir, Length: length,
-	})
+	res, err := proto.HopDist(net, proto.HopDistSpec{Sources: all, Dir: dir})
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("exact: apsp: %w", err)

@@ -8,10 +8,10 @@
 // Structure:
 //
 //  1. Sample W of ~sqrt(n)*log n vertices and compute EXACT shortest paths
-//     from W through the pluggable-SSSP seam of internal/proto (pipelined
-//     BFS unweighted, pipelined Bellman-Ford weighted). Candidates come
-//     from non-tree edges of each sampled tree: for a minimum weight cycle
-//     C and u on C, the best candidate from w is at most w(C) + 2 d(w,u).
+//     from W with proto.HopDist (pipelined BFS on unit weights, pipelined
+//     Bellman-Ford otherwise). Candidates come from non-tree edges of each
+//     sampled tree: for a minimum weight cycle C and u on C, the best
+//     candidate from w is at most w(C) + 2 d(w,u).
 //  2. Compute each vertex's sigma = ceil(sqrt(n)) nearest vertices with
 //     top-sigma source detection; neighbours exchange their lists. Cycles
 //     contained in the sigma-neighbourhoods of all their vertices are
@@ -53,11 +53,6 @@ type Spec struct {
 	SampleFactor float64
 	// Sigma is the neighbourhood size (default ceil(sqrt(n))).
 	Sigma int
-	// Substrate is the exact shortest-path engine of the sampled pass (nil
-	// selects the class default: pipelined BFS unweighted, pipelined
-	// Bellman-Ford weighted). It must be exact: the factor-2 argument has
-	// no room for a (1+eps) substrate.
-	Substrate proto.Substrate
 	// Salt separates this run's shared-randomness sample.
 	Salt int64
 }
@@ -90,7 +85,6 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	if g.Directed() {
 		return nil, fmt.Errorf("girthapx: graph must be undirected")
 	}
-	weighted := g.Weighted() && g.MaxWeight() > 1
 	if g.Weighted() {
 		if w, ok := minWeight(g); ok && w < 1 {
 			return nil, fmt.Errorf("girthapx: weighted variant needs weights >= 1, got %d", w)
@@ -104,16 +98,6 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	sigma := spec.Sigma
 	if sigma <= 0 {
 		sigma = int(math.Ceil(math.Sqrt(float64(n))))
-	}
-	sub := spec.Substrate
-	if sub == nil {
-		sub = proto.DefaultSubstrate(weighted, 0)
-	}
-	if !sub.Exact() {
-		return nil, fmt.Errorf("girthapx: substrate %q is approximate; the factor-2 bound needs exact sampled distances", sub.Name())
-	}
-	if weighted && !sub.Supports(true) {
-		return nil, fmt.Errorf("girthapx: substrate %q does not support weighted graphs", sub.Name())
 	}
 	var length func(a graph.Arc) int64
 	if g.Weighted() {
@@ -133,7 +117,9 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		w = []int{0}
 	}
 	net.BeginPhase("girthapx:sampled-sssp")
-	resW, err := sub.Run(net, proto.HopDistSpec{Sources: w, Dir: proto.Undirected})
+	// Exact distances (no eps): the factor-2 argument has no room for a
+	// (1+eps) error.
+	resW, err := proto.HopDist(net, proto.HopDistSpec{Sources: w, Dir: proto.Undirected})
 	if err != nil {
 		net.EndPhase()
 		return nil, fmt.Errorf("girthapx: sampled SSSP: %w", err)

@@ -6,7 +6,6 @@ import (
 	"congestmwc/internal/congest"
 	"congestmwc/internal/gen"
 	"congestmwc/internal/graph"
-	"congestmwc/internal/proto"
 	"congestmwc/internal/seq"
 )
 
@@ -112,16 +111,6 @@ func TestRejectsZeroWeights(t *testing.T) {
 	}, graph.Options{Weighted: true})
 	if _, err := Run(newNet(t, g, 1), Spec{}); err == nil {
 		t.Fatal("zero-weight edge accepted")
-	}
-}
-
-func TestRejectsApproximateSubstrate(t *testing.T) {
-	g, err := (gen.Random{N: 12, P: 0.3, Weighted: true, MaxW: 9, Seed: 2}).Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(newNet(t, g, 2), Spec{Substrate: proto.ScaledSubstrate{}}); err == nil {
-		t.Fatal("approximate substrate accepted")
 	}
 }
 

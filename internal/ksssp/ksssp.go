@@ -35,6 +35,7 @@ import (
 	"math"
 
 	"congestmwc/internal/congest"
+	"congestmwc/internal/graph"
 	"congestmwc/internal/proto"
 	"congestmwc/internal/seq"
 )
@@ -59,19 +60,13 @@ type Spec struct {
 	// Salt separates the shared-randomness sample from other phases run on
 	// the same network seed.
 	Salt int64
-	// Bound, when > 0, asks Run only for distances below it: every Dist
-	// entry below Bound is exactly the unbounded run's and every other
-	// entry is seq.Inf (RunSequential ignores it). The built-in weighted engine skips the scaling levels that
-	// cannot produce an estimate below Bound, and Run's broadcasts carry
-	// only distances below it. A caller that already holds a candidate of
+	// Bound, when > 0, asks only for distances below it: every Dist entry
+	// below Bound is exactly the unbounded run's and every other entry is
+	// seq.Inf. The weighted engine skips the scaling levels that cannot
+	// produce an estimate below Bound, and Run's broadcasts carry only
+	// distances below it. A caller that already holds a candidate of
 	// weight U passes U.
 	Bound int64
-	// Substrate overrides the h-hop multi-source distance engine used for
-	// the BFS steps (nil selects the class default: exact pipelined BFS
-	// for unweighted graphs, the scaled (1+eps) engine for weighted ones).
-	// This is the pluggable-SSSP seam: planners swap shortest-path engines
-	// per run without the k-source skeleton knowing which engines exist.
-	Substrate proto.Substrate
 }
 
 // Result holds the computed distances.
@@ -102,20 +97,11 @@ type Result struct {
 // Run executes Algorithm 1 (or its weighted variant) on the network.
 func Run(net *congest.Network, spec Spec) (*Result, error) {
 	g := net.Graph()
+	if err := spec.validate(g); err != nil {
+		return nil, err
+	}
 	n := g.N()
 	k := len(spec.Sources)
-	if k == 0 {
-		return nil, fmt.Errorf("ksssp: no sources")
-	}
-	if spec.Eps > 0 && !g.Weighted() {
-		return nil, fmt.Errorf("ksssp: eps set for unweighted graph")
-	}
-	if spec.Substrate != nil && !proto.UnitWeights(g) && !spec.Substrate.Supports(true) {
-		return nil, fmt.Errorf("ksssp: substrate %q does not support weighted graphs", spec.Substrate.Name())
-	}
-	if spec.Substrate == nil && spec.Eps == 0 && !proto.UnitWeights(g) {
-		return nil, fmt.Errorf("ksssp: weighted graph needs eps > 0 or a weighted-capable substrate")
-	}
 	h := spec.H
 	if h <= 0 {
 		h = int(math.Ceil(math.Sqrt(float64(n) * float64(k))))
@@ -138,7 +124,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 
 	// Step 2: h-hop multi-source distances from S.
 	net.BeginPhase("ksssp:sample-bfs")
-	sampleRes, err := runHopDist(net, spec, sampled, h, dir)
+	sampleRes, err := proto.HopDist(net, spec.hopDist(sampled, h, dir))
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("ksssp: sample BFS: %w", err)
@@ -161,7 +147,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	values := make([][][]int64, n)
 	for j, t := range sampled {
 		for i := range sampled {
-			if d := sampleRes.Dist[t][i]; below(d, spec.Bound) {
+			if d := sampleRes.Dist[t][i]; d < seq.Inf {
 				values[t] = append(values[t], []int64{int64(i), int64(j), d})
 			}
 		}
@@ -178,7 +164,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 
 	// Step 5: h-hop distances from the k sources.
 	net.BeginPhase("ksssp:source-bfs")
-	srcRes, err := runHopDist(net, spec, spec.Sources, h, dir)
+	srcRes, err := proto.HopDist(net, spec.hopDist(spec.Sources, h, dir))
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("ksssp: source BFS: %w", err)
@@ -187,7 +173,7 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	values = make([][][]int64, n)
 	for j, s := range sampled {
 		for i := range spec.Sources {
-			if d := srcRes.Dist[s][i]; below(d, spec.Bound) {
+			if d := srcRes.Dist[s][i]; d < seq.Inf {
 				values[s] = append(values[s], []int64{int64(i), int64(j), d})
 			}
 		}
@@ -272,39 +258,24 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	}, nil
 }
 
-// below reports whether a finite distance d lies below the spec's Bound
-// (bound <= 0: no bound).
-func below(d, bound int64) bool {
-	return d < seq.Inf && (bound <= 0 || d < bound)
+// validate rejects a spec no engine serves: Eps > 0 asks for the scaled
+// engine, which needs weights, and Eps == 0 asks for hop-bounded BFS, which
+// needs unit weights.
+func (spec Spec) validate(g *graph.Graph) error {
+	switch {
+	case len(spec.Sources) == 0:
+		return fmt.Errorf("ksssp: no sources")
+	case spec.Eps > 0 && !g.Weighted():
+		return fmt.Errorf("ksssp: eps set for unweighted graph")
+	case spec.Eps == 0 && !proto.UnitWeights(g):
+		return fmt.Errorf("ksssp: weighted graph needs eps > 0")
+	}
+	return nil
 }
 
-// runHopDist runs the h-hop multi-source distance computation appropriate
-// for the graph class: the spec's substrate when one is plugged in, else
-// exact pipelined BFS for unweighted graphs or scaled (1+eps)-approximate
-// SSSP for weighted ones.
-func runHopDist(net *congest.Network, spec Spec, sources []int, h int, dir proto.Direction) (*proto.MultiBFSResult, error) {
-	if spec.Substrate != nil {
-		return spec.Substrate.Run(net, proto.HopDistSpec{
-			Sources: sources,
-			H:       h,
-			Eps:     spec.Eps,
-			Dir:     dir,
-		})
-	}
-	if spec.Eps == 0 {
-		return proto.RunMultiBFS(net, proto.MultiBFSSpec{
-			Sources: sources,
-			Dir:     dir,
-			Bound:   int64(h),
-		})
-	}
-	return proto.RunApproxHopSSSP(net, proto.ApproxHopSSSPSpec{
-		Sources: sources,
-		H:       h,
-		Eps:     spec.Eps,
-		Dir:     dir,
-		Bound:   spec.Bound,
-	})
+// hopDist describes one h-hop distance step from the given sources.
+func (spec Spec) hopDist(sources []int, h int, dir proto.Direction) proto.HopDistSpec {
+	return proto.HopDistSpec{Sources: sources, H: h, Bound: spec.Bound, Eps: spec.Eps, Dir: dir}
 }
 
 // skeletonAPSP runs Floyd-Warshall on the broadcast skeleton edges
@@ -349,11 +320,11 @@ func skeletonAPSP(m int, records [][]int64) [][]int64 {
 // SSSP per source and picks the smaller estimate, mirroring the min(...)
 // of equation (1).
 func Auto(net *congest.Network, spec Spec) (*Result, error) {
+	if err := spec.validate(net.Graph()); err != nil {
+		return nil, err
+	}
 	n := net.Graph().N()
 	k := len(spec.Sources)
-	if k == 0 {
-		return nil, fmt.Errorf("ksssp: no sources")
-	}
 	if float64(k) >= math.Cbrt(float64(n)) {
 		return Run(net, spec)
 	}
@@ -379,10 +350,10 @@ func Auto(net *congest.Network, spec Spec) (*Result, error) {
 // 1.6.A for small k, and a baseline for the benchmarks.
 func RunSequential(net *congest.Network, spec Spec) (*Result, error) {
 	g := net.Graph()
-	n := g.N()
-	if len(spec.Sources) == 0 {
-		return nil, fmt.Errorf("ksssp: no sources")
+	if err := spec.validate(g); err != nil {
+		return nil, err
 	}
+	n := g.N()
 	dir := spec.Dir
 	if dir == 0 {
 		dir = proto.Forward
@@ -397,19 +368,7 @@ func RunSequential(net *congest.Network, spec Spec) (*Result, error) {
 	net.BeginPhase("ksssp:sequential")
 	defer net.EndPhase()
 	for i, s := range spec.Sources {
-		var res *proto.MultiBFSResult
-		var err error
-		if spec.Substrate != nil {
-			res, err = spec.Substrate.Run(net, proto.HopDistSpec{
-				Sources: []int{s}, Eps: spec.Eps, Dir: dir,
-			})
-		} else if spec.Eps == 0 {
-			res, err = proto.RunMultiBFS(net, proto.MultiBFSSpec{Sources: []int{s}, Dir: dir})
-		} else {
-			res, err = proto.RunApproxHopSSSP(net, proto.ApproxHopSSSPSpec{
-				Sources: []int{s}, H: n, Eps: spec.Eps, Dir: dir,
-			})
-		}
+		res, err := proto.HopDist(net, spec.hopDist([]int{s}, 0, dir))
 		if err != nil {
 			return nil, fmt.Errorf("ksssp: source %d: %w", s, err)
 		}

@@ -246,60 +246,32 @@ func TestAutoSelectsRegimes(t *testing.T) {
 	}
 }
 
-func TestRunWithExactWeightedSubstrate(t *testing.T) {
-	// A weighted-capable exact substrate (pipelined Bellman-Ford) plugged
-	// into the seam computes exact weighted k-source distances with no eps,
-	// a configuration the default engines reject.
-	g, err := (gen.Random{N: 60, P: 0.06, Weighted: true, MaxW: 9, Seed: 12}).Graph()
+// TestEntryPointsShareValidation: Run, RunSequential and Auto reject the
+// same specs. RunSequential (and Auto, which sends small k to it) used to
+// run unit-length BFS on a weighted graph with eps = 0 and return hop
+// counts as distances.
+func TestEntryPointsShareValidation(t *testing.T) {
+	wg, err := (gen.Random{N: 30, P: 0.15, Weighted: true, MaxW: 9, Seed: 3}).Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := newNet(t, g, 12)
-	sources := []int{0, 9, 41}
-	if _, err := Run(newNet(t, g, 12), Spec{Sources: sources}); err == nil {
-		t.Fatal("weighted graph with eps = 0 and no substrate should be rejected")
-	}
-	res, err := Run(net, Spec{Sources: sources, Substrate: proto.BellmanFordSubstrate{}})
+	ug, err := (gen.Random{N: 30, P: 0.15, Seed: 3}).Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range sources {
-		want := seq.Dijkstra(g, s)
-		for v := 0; v < g.N(); v++ {
-			if res.Dist[v][i] != want[v] {
-				t.Errorf("src %d v %d: dist %d, want %d", s, v, res.Dist[v][i], want[v])
-			}
+	entries := []struct {
+		name string
+		run  func(*congest.Network, Spec) (*Result, error)
+	}{{"Run", Run}, {"RunSequential", RunSequential}, {"Auto", Auto}}
+	for _, e := range entries {
+		if _, err := e.run(newNet(t, wg, 3), Spec{Sources: []int{0}}); err == nil {
+			t.Errorf("%s accepted a weighted graph with eps = 0", e.name)
 		}
-	}
-}
-
-func TestRunRejectsUnsupportedSubstrate(t *testing.T) {
-	g, err := (gen.Random{N: 20, P: 0.2, Weighted: true, MaxW: 9, Seed: 3}).Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(newNet(t, g, 3), Spec{Sources: []int{0}, Substrate: proto.BFSSubstrate{}}); err == nil {
-		t.Fatal("bfs substrate on a weighted graph should be rejected")
-	}
-}
-
-func TestRunSequentialWithSubstrate(t *testing.T) {
-	g, err := (gen.Random{N: 40, P: 0.08, Weighted: true, MaxW: 9, Seed: 5}).Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSequential(newNet(t, g, 5), Spec{
-		Sources: []int{0, 7}, Substrate: proto.BellmanFordSubstrate{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range []int{0, 7} {
-		want := seq.Dijkstra(g, s)
-		for v := 0; v < g.N(); v++ {
-			if res.Dist[v][i] != want[v] {
-				t.Errorf("src %d v %d: dist %d, want %d", s, v, res.Dist[v][i], want[v])
-			}
+		if _, err := e.run(newNet(t, ug, 3), Spec{Sources: []int{0}, Eps: 0.5}); err == nil {
+			t.Errorf("%s accepted eps on an unweighted graph", e.name)
+		}
+		if _, err := e.run(newNet(t, ug, 3), Spec{}); err == nil {
+			t.Errorf("%s accepted an empty source list", e.name)
 		}
 	}
 }

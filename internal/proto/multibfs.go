@@ -37,15 +37,6 @@ type MultiBFSSpec struct {
 	// The source list is global knowledge (in the paper it is derived from
 	// shared randomness or is the full vertex set).
 	Sources []int
-	// InitDist optionally overrides the initial estimates: InitDist[v][i]
-	// is node v's starting estimate for field i (seq.Inf when absent).
-	// When set, Sources only labels the fields and may even be nil if
-	// Fields is set. Used to propagate already-known values (e.g. line 9 of
-	// Algorithm 1 floods d(u,s) from sampled vertices).
-	InitDist [][]int64
-	// Fields is the number of fields when InitDist is used with nil
-	// Sources.
-	Fields int
 	// Dir is the traversal direction.
 	Dir Direction
 	// Bound caps recorded distances: estimates above Bound are discarded
@@ -56,8 +47,10 @@ type MultiBFSSpec struct {
 	// pairs it knows — the source-detection cutoff used for the
 	// sqrt(n)-neighbourhood computation of Section 4.
 	TopSigma int
-	// Length gives each arc's length (clamped to >= 1); nil means unit
-	// lengths (BFS).
+	// Length gives each arc's length; nil means unit lengths (BFS). With
+	// Stretch, lengths below 1 count as 1 (a traversal takes at least one
+	// round); plain relaxation uses them as given, zero included, and
+	// counts only negative lengths as 1.
 	Length func(a graph.Arc) int64
 	// Stretch selects the stretched-graph simulation of Section 5:
 	// traversing an arc of length L takes L rounds, exactly as if the edge
@@ -66,8 +59,6 @@ type MultiBFSSpec struct {
 	// crosses its edge in one round and the protocol is the pipelined
 	// distributed Bellman-Ford.
 	Stretch bool
-	// Budget caps the rounds of this run (<= 0: default).
-	Budget int
 }
 
 // MultiBFSResult holds per-node distance fields.
@@ -239,18 +230,9 @@ func (b *bfsNode) Init(nd *congest.Node) {
 			return cmp.Compare(b.out[j].length, b.out[i].length)
 		})
 	}
-	k := len(b.dist)
-	if b.spec.InitDist != nil {
-		for i := 0; i < k; i++ {
-			if d := b.spec.InitDist[b.v][i]; d < seq.Inf {
-				b.record(int32(i), d, -1)
-			}
-		}
-	} else {
-		for i, s := range b.spec.Sources {
-			if s == b.v {
-				b.record(int32(i), 0, -1)
-			}
+	for i, s := range b.spec.Sources {
+		if s == b.v {
+			b.record(int32(i), 0, -1)
 		}
 	}
 	if len(b.dirty) > 0 {
@@ -386,16 +368,8 @@ func (b *bfsNode) flushArc(nd *congest.Node, i, now, next int) int {
 func RunMultiBFS(net *congest.Network, spec MultiBFSSpec) (*MultiBFSResult, error) {
 	n := net.Graph().N()
 	k := len(spec.Sources)
-	if spec.InitDist != nil {
-		if len(spec.InitDist) != n {
-			return nil, fmt.Errorf("proto: InitDist has %d rows for %d nodes", len(spec.InitDist), n)
-		}
-		k = len(spec.InitDist[0])
-	} else if k == 0 {
-		return nil, fmt.Errorf("proto: no sources and no InitDist")
-	}
-	if spec.Fields > 0 && spec.Fields != k {
-		return nil, fmt.Errorf("proto: Fields=%d inconsistent with %d fields", spec.Fields, k)
+	if k == 0 {
+		return nil, fmt.Errorf("proto: no sources")
 	}
 	if spec.Dir == 0 {
 		spec.Dir = Undirected
@@ -419,7 +393,7 @@ func RunMultiBFS(net *congest.Network, spec MultiBFSSpec) (*MultiBFSResult, erro
 		nodes[v] = bfsNode{v: v, spec: &spec, dist: res.Dist[v], pred: res.Pred[v]}
 		progs[v] = &nodes[v]
 	}
-	rounds, err := net.Run(progs, spec.Budget)
+	rounds, err := net.Run(progs, 0)
 	res.Rounds = rounds
 	if err != nil {
 		return res, fmt.Errorf("multi-bfs: %w", err)

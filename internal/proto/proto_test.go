@@ -299,29 +299,6 @@ func TestMultiBFSStretchedChargesRounds(t *testing.T) {
 	}
 }
 
-func TestMultiBFSInitDist(t *testing.T) {
-	// Seed nonzero initial estimates and check relaxation combines them:
-	// field 0 starts at node 5 with value 100 on a path; expected
-	// dist[v][0] = 100 + |v-5|.
-	g := gen.Path(10)
-	net := newNet(t, g)
-	init := make([][]int64, 10)
-	for v := range init {
-		init[v] = []int64{seq.Inf}
-	}
-	init[5][0] = 100
-	res, err := RunMultiBFS(net, MultiBFSSpec{InitDist: init, Dir: Undirected})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 10; v++ {
-		want := 100 + int64(abs(v-5))
-		if res.Dist[v][0] != want {
-			t.Errorf("dist[%d] = %d, want %d", v, res.Dist[v][0], want)
-		}
-	}
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x
@@ -431,10 +408,6 @@ func TestMultiBFSSpecValidation(t *testing.T) {
 	net := newNet(t, gen.Path(3))
 	if _, err := RunMultiBFS(net, MultiBFSSpec{}); err == nil {
 		t.Error("empty spec should fail")
-	}
-	bad := make([][]int64, 2) // wrong row count
-	if _, err := RunMultiBFS(net, MultiBFSSpec{InitDist: bad}); err == nil {
-		t.Error("short InitDist should fail")
 	}
 }
 

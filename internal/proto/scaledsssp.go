@@ -55,17 +55,12 @@ func SampleProb(n, h int, factor float64) float64 {
 type ApproxHopSSSPSpec struct {
 	// Sources lists the source vertices (global knowledge).
 	Sources []int
-	// InitDist optionally seeds estimates as in MultiBFSSpec (original
-	// weight scale); when set, Sources only labels fields.
-	InitDist [][]int64
 	// H is the arc budget of the paths to approximate.
 	H int
 	// Eps is the accuracy parameter (> 0).
 	Eps float64
 	// Dir is the traversal direction.
 	Dir Direction
-	// Budget caps rounds per level (<= 0: default).
-	Budget int
 	// Bound, when > 0, skips the levels that cannot produce an estimate
 	// below it (graph.Scaling.LevelsBelow: levels i > 1 with
 	// 2^(i-1) >= Bound). Every estimate below Bound is then exactly the
@@ -90,12 +85,6 @@ func RunApproxHopSSSP(net *congest.Network, spec ApproxHopSSSPSpec) (*MultiBFSRe
 	}
 	n := g.N()
 	k := len(spec.Sources)
-	if spec.InitDist != nil {
-		if len(spec.InitDist) != n {
-			return nil, fmt.Errorf("proto: InitDist has %d rows for %d nodes", len(spec.InitDist), n)
-		}
-		k = len(spec.InitDist[0])
-	}
 	if k == 0 {
 		return nil, fmt.Errorf("proto: no sources")
 	}
@@ -114,34 +103,15 @@ func RunApproxHopSSSP(net *congest.Network, spec ApproxHopSSSPSpec) (*MultiBFSRe
 	hstar := int64(sc.HopBudget())
 	for level := 1; level <= sc.LevelsBelow(spec.Bound); level++ {
 		level := level
-		sub := MultiBFSSpec{
+		res, err := RunMultiBFS(net, MultiBFSSpec{
 			Sources: spec.Sources,
 			Dir:     spec.Dir,
 			Bound:   hstar,
 			Stretch: true,
-			Budget:  spec.Budget,
 			Length: func(a graph.Arc) int64 {
 				return sc.ScaleWeight(a.Weight, level)
 			},
-		}
-		if spec.InitDist != nil {
-			sub.Sources = spec.Sources
-			sub.InitDist = make([][]int64, n)
-			for v := 0; v < n; v++ {
-				row := make([]int64, k)
-				for i := 0; i < k; i++ {
-					row[i] = seq.Inf
-					if d := spec.InitDist[v][i]; d < seq.Inf {
-						s := sc.ScaleWeight(d, level)
-						if s <= hstar {
-							row[i] = s
-						}
-					}
-				}
-				sub.InitDist[v] = row
-			}
-		}
-		res, err := RunMultiBFS(net, sub)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("proto: scaled level %d: %w", level, err)
 		}

@@ -480,12 +480,12 @@ type ResultStatus struct {
 
 // Status is a point-in-time snapshot of a session.
 type Status struct {
-	ID    string `json:"id"`
-	State State  `json:"state"`
-	Class string `json:"class"`
+	ID    string    `json:"id"`
+	State State     `json:"state"`
+	Class string    `json:"class"`
 	Algo  jobs.Algo `json:"algo"`
-	N     int    `json:"n"`
-	M     int    `json:"m"`
+	N     int       `json:"n"`
+	M     int       `json:"m"`
 	// Version counts applied mutations; ResultVersion is the version the
 	// cached result answers for (equal when clean).
 	Version       uint64 `json:"version"`

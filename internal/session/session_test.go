@@ -148,14 +148,14 @@ func TestPatchValidation(t *testing.T) {
 	before := s.Status()
 
 	bad := [][]Op{
-		{{Op: OpInsert, From: 0, To: 1, Weight: 5}},               // duplicate edge
-		{{Op: OpInsert, From: 0, To: 0, Weight: 5}},               // self-loop
-		{{Op: OpInsert, From: 0, To: 99, Weight: 5}},              // out of range
-		{{Op: OpInsert, From: 0, To: 3, Weight: -1}},              // negative weight
-		{{Op: OpDelete, From: 0, To: 4}},                          // absent edge
-		{{Op: OpReweight, From: 0, To: 4, Weight: 2}},             // absent edge
-		{{Op: "swap", From: 0, To: 1}},                            // unknown op
-		{},                                                        // empty batch
+		{{Op: OpInsert, From: 0, To: 1, Weight: 5}},                      // duplicate edge
+		{{Op: OpInsert, From: 0, To: 0, Weight: 5}},                      // self-loop
+		{{Op: OpInsert, From: 0, To: 99, Weight: 5}},                     // out of range
+		{{Op: OpInsert, From: 0, To: 3, Weight: -1}},                     // negative weight
+		{{Op: OpDelete, From: 0, To: 4}},                                 // absent edge
+		{{Op: OpReweight, From: 0, To: 4, Weight: 2}},                    // absent edge
+		{{Op: "swap", From: 0, To: 1}},                                   // unknown op
+		{},                                                               // empty batch
 		{{Op: OpDelete, From: 2, To: 3}, {Op: OpDelete, From: 5, To: 0}}, // disconnects 3,4,5
 		{{Op: OpDelete, From: 0, To: 1}, {Op: OpDelete, From: 0, To: 1}}, // double delete in one batch
 	}
