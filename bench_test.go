@@ -180,7 +180,7 @@ func BenchmarkAblationOverflowCap(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := dirmwc.Run(net, dirmwc.Spec{Cap: cap})
+				res, err := dirmwc.Run(net, dirmwc.Spec{Cap: cap, PaperSchedule: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -209,7 +209,7 @@ func BenchmarkAblationGirthSampling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := girth.Run(net, girth.Spec{SampleFactor: factor})
+				res, err := girth.Run(net, girth.Spec{SampleFactor: factor, PaperSchedule: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -274,7 +274,7 @@ func BenchmarkAblationEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := girth.Run(net, girth.Spec{}); err != nil {
+				if _, err := girth.Run(net, girth.Spec{PaperSchedule: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -424,7 +424,7 @@ func BenchmarkAblationHopThreshold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := dirmwc.Run(net, dirmwc.Spec{H: h})
+				res, err := dirmwc.Run(net, dirmwc.Spec{H: h, PaperSchedule: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -451,7 +451,7 @@ func BenchmarkAblationBandwidth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := girth.Run(net, girth.Spec{})
+				res, err := girth.Run(net, girth.Spec{PaperSchedule: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -31,17 +31,17 @@ func TestApproxGoldenModelCost(t *testing.T) {
 		seed  int64
 		want  goldenCost
 	}{
-		{Undirected, 64, 1, goldenCost{3, 160, 52326, 9601, []int{1, 52, 51}}},
-		{Undirected, 64, 2, goldenCost{3, 159, 53196, 9605, []int{0, 54, 1}}},
-		{Directed, 32, 1, goldenCost{2, 2574, 106856, 79342, []int{1, 0}}},
-		{Directed, 32, 2, goldenCost{2, 2153, 95159, 66215, []int{1, 0}}},
-		{UndirectedWeighted, 24, 1, goldenCost{6, 7448, 16205, 8454, []int{14, 22, 23}}},
-		{UndirectedWeighted, 24, 2, goldenCost{6, 7577, 21727, 11811, []int{1, 16, 4}}},
+		{Undirected, 64, 1, goldenCost{3, 143, 46566, 8513, []int{1, 52, 51}}},
+		{Undirected, 64, 2, goldenCost{3, 142, 47340, 8517, []int{0, 54, 1}}},
+		{Directed, 32, 1, goldenCost{2, 77, 12460, 2246, []int{1, 0}}},
+		{Directed, 32, 2, goldenCost{2, 77, 13852, 2244, []int{1, 0}}},
+		{UndirectedWeighted, 24, 1, goldenCost{6, 6561, 14064, 7384, []int{14, 22, 23}}},
+		{UndirectedWeighted, 24, 2, goldenCost{6, 6689, 19428, 10746, []int{1, 16, 4}}},
 		{DirectedWeighted, 20, 1, goldenCost{3, 7224, 9280, 5886, []int{12, 11}}},
 		{DirectedWeighted, 20, 2, goldenCost{2, 3653, 5624, 3371, []int{19, 18}}},
-		{Undirected, 96, 3, goldenCost{3, 227, 125434, 20924, []int{0, 76, 47}}},
-		{Directed, 40, 3, goldenCost{2, 3137, 160381, 121836, []int{1, 0}}},
-		{UndirectedWeighted, 32, 3, goldenCost{7, 9435, 29266, 14075, []int{0, 24, 12}}},
+		{Undirected, 96, 3, goldenCost{3, 206, 113674, 18908, []int{0, 76, 47}}},
+		{Directed, 40, 3, goldenCost{2, 92, 18612, 3440, []int{1, 0}}},
+		{UndirectedWeighted, 32, 3, goldenCost{7, 8353, 25918, 12501, []int{0, 24, 12}}},
 		{DirectedWeighted, 24, 3, goldenCost{4, 8218, 8039, 5548, []int{10, 9}}},
 	}
 	for _, tc := range cases {

@@ -36,6 +36,11 @@
 //     overflow vertices are recorded exactly.
 //  9. Every z closes cycles locally: mu_z = min over heard sources v with
 //     an arc (z,v) of d(v,z) + w(z,v); convergecast the global minimum.
+//
+// At small n the sampling probability saturates and S = V. Every cycle
+// then meets S, so step 3 alone is exact at every vertex: by default Run
+// computes step 2 with one plain BFS per direction and skips steps 4-8
+// (Spec.PaperSchedule runs them all).
 package dirmwc
 
 import (
@@ -71,6 +76,11 @@ type Spec struct {
 	Length func(a graph.Arc) int64
 	// Salt separates this phase's shared-randomness sample.
 	Salt int64
+	// PaperSchedule runs every phase of Algorithms 2 and 3 even when the
+	// sample S is all of V, where the default skips the phases that cannot
+	// lower the answer (see Run). The Table 1 harness sets it to reproduce
+	// the paper's round counts.
+	PaperSchedule bool
 }
 
 // dwit records which computation produced a node's best candidate so the
@@ -102,7 +112,8 @@ type Result struct {
 	// !Found or when reconstruction was degenerate.
 	Cycle []int
 	// Overflow is the number of phase-overflow vertices of the restricted
-	// BFS (instrumentation for Lemma 3.3).
+	// BFS (instrumentation for Lemma 3.3); 0 when Algorithm 3 is skipped
+	// because S = V.
 	Overflow int
 	// Rounds consumed by this run.
 	Rounds int
@@ -170,9 +181,15 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		s = []int{0}
 	}
 
+	// S = V is global knowledge (shared randomness), so testing it costs
+	// no rounds. Every cycle then meets S and line 4 alone sets each mu_v
+	// to the lightest cycle through v; the S x S broadcast and Algorithm 3
+	// could only offer candidates no lighter, so they are skipped.
+	saturated := len(s) == n && !spec.PaperSchedule
+
 	// --- Line 3: distances between S and all vertices, both directions. ---
 	net.BeginPhase("dirmwc:sample-dist")
-	distF, distB, predF, err := sampleDistances(net, spec, s, distBound, length)
+	distF, distB, predF, err := sampleDistances(net, spec, s, distBound, length, saturated)
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("dirmwc: %w", err)
@@ -198,53 +215,19 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		}
 	}
 
-	// --- Line 5: broadcast S x S distances. ---
-	net.BeginPhase("dirmwc:sxs-broadcast")
-	tree, err := proto.BuildTree(net, 0)
-	if err != nil {
-		net.EndPhase()
-		return nil, fmt.Errorf("dirmwc: %w", err)
-	}
-	values := make([][][]int64, n)
-	for j, t := range s {
-		for i := range s {
-			if d := distF[t][i]; d < seq.Inf {
-				// d(S[i] -> S[j]).
-				values[t] = append(values[t], []int64{int64(i), int64(j), d})
-			}
+	// --- Line 5 and Algorithm 3: cycles avoiding S. ---
+	var tree *proto.Tree
+	overflow := 0
+	var shortWits *shortWitnesses
+	if !saturated {
+		tree, overflow, shortWits, err = avoidingSample(net, shortSpec{
+			s: s, distF: distF, distB: distB, mu: mu, wit: wit,
+			hShort: hShort, distBound: distBound, rho: rho, cap: capLog,
+			length: length, salt: spec.Salt,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("dirmwc: %w", err)
 		}
-	}
-	recs, err := proto.Broadcast(net, tree, values)
-	net.EndPhase()
-	if err != nil {
-		return nil, fmt.Errorf("dirmwc: broadcast S x S: %w", err)
-	}
-	dSS := make([][]int64, len(s))
-	for i := range dSS {
-		dSS[i] = make([]int64, len(s))
-		for j := range dSS[i] {
-			if i != j {
-				dSS[i][j] = seq.Inf
-			}
-		}
-	}
-	for _, rec := range recs[0] {
-		i, j, d := int(rec[0]), int(rec[1]), rec[2]
-		if d < dSS[i][j] {
-			dSS[i][j] = d
-		}
-	}
-
-	// --- Algorithm 3: short cycles avoiding S. ---
-	net.BeginPhase("dirmwc:short-cycles")
-	overflow, shortWits, err := shortCycles(net, shortSpec{
-		s: s, dSS: dSS, distF: distF, distB: distB, mu: mu, wit: wit,
-		hShort: hShort, distBound: distBound, rho: rho, cap: capLog,
-		length: length, salt: spec.Salt,
-	})
-	net.EndPhase()
-	if err != nil {
-		return nil, fmt.Errorf("dirmwc: %w", err)
 	}
 
 	if spec.Bound > 0 {
@@ -255,7 +238,14 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		}
 	}
 	net.BeginPhase("dirmwc:convergecast")
-	minW, err := proto.ConvergecastMin(net, tree, mu)
+	if tree == nil {
+		// The skipped S x S broadcast would have built the tree.
+		tree, err = proto.BuildTree(net, 0)
+	}
+	var minW int64
+	if err == nil {
+		minW, err = proto.ConvergecastMin(net, tree, mu)
+	}
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("dirmwc: %w", err)
@@ -295,40 +285,99 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	return out, nil
 }
 
+// avoidingSample runs the phases that catch cycles avoiding S: the S x S
+// broadcast of line 5 (fills sp.dSS) and Algorithm 3. It updates sp.mu and
+// sp.wit in place and returns the BFS tree the broadcast built, the number
+// of phase-overflow vertices and the witness builder for Algorithm 3's
+// candidates.
+func avoidingSample(net *congest.Network, sp shortSpec) (*proto.Tree, int, *shortWitnesses, error) {
+	n := net.Graph().N()
+	s := sp.s
+	net.BeginPhase("dirmwc:sxs-broadcast")
+	tree, err := proto.BuildTree(net, 0)
+	if err != nil {
+		net.EndPhase()
+		return nil, 0, nil, err
+	}
+	values := make([][][]int64, n)
+	for j, t := range s {
+		for i := range s {
+			if d := sp.distF[t][i]; d < seq.Inf {
+				// d(S[i] -> S[j]).
+				values[t] = append(values[t], []int64{int64(i), int64(j), d})
+			}
+		}
+	}
+	recs, err := proto.Broadcast(net, tree, values)
+	net.EndPhase()
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("broadcast S x S: %w", err)
+	}
+	sp.dSS = make([][]int64, len(s))
+	for i := range sp.dSS {
+		sp.dSS[i] = make([]int64, len(s))
+		for j := range sp.dSS[i] {
+			if i != j {
+				sp.dSS[i][j] = seq.Inf
+			}
+		}
+	}
+	for _, rec := range recs[0] {
+		i, j, d := int(rec[0]), int(rec[1]), rec[2]
+		if d < sp.dSS[i][j] {
+			sp.dSS[i][j] = d
+		}
+	}
+
+	net.BeginPhase("dirmwc:short-cycles")
+	overflow, wits, err := shortCycles(net, sp)
+	net.EndPhase()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return tree, overflow, wits, nil
+}
+
 // sampleDistances computes d(s,v) (distF[v][j]) and d(v,s) (distB[v][j])
 // for all v and s = S[j]. The unbounded case uses Algorithm 1 (Theorem
 // 1.6.A); the bounded case a plain pipelined multi-source BFS, which is
-// already within the round budget for bounded distances.
-func sampleDistances(net *congest.Network, spec Spec, s []int, bound int64, length func(graph.Arc) int64) (distF, distB [][]int64, predF *proto.MultiBFSResult, err error) {
-	if spec.Bound > 0 || spec.Length != nil {
-		fw, err := proto.RunMultiBFS(net, proto.MultiBFSSpec{
-			Sources: s, Dir: proto.Forward, Bound: bound, Length: length, Stretch: true,
+// already within the round budget for bounded distances. A saturated
+// unbounded run (S = V) uses an unbounded plain BFS: Algorithm 1 with k = n
+// sources has h = n, so its step-5 BFS is already exact and its combination
+// step never replaces it, giving the same distances and predecessors.
+func sampleDistances(net *congest.Network, spec Spec, s []int, bound int64, length func(graph.Arc) int64, saturated bool) (distF, distB [][]int64, predF *proto.MultiBFSResult, err error) {
+	unbounded := spec.Bound <= 0 && spec.Length == nil
+	if unbounded && !saturated {
+		fw, err := ksssp.Run(net, ksssp.Spec{
+			Sources: s, Dir: proto.Forward, SampleFactor: spec.SampleFactor, Salt: 100 + spec.Salt,
 		})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		bw, err := proto.RunMultiBFS(net, proto.MultiBFSSpec{
-			Sources: s, Dir: proto.Backward, Bound: bound, Length: length, Stretch: true,
+		bw, err := ksssp.Run(net, ksssp.Spec{
+			Sources: s, Dir: proto.Backward, SampleFactor: spec.SampleFactor, Salt: 200 + spec.Salt,
 		})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return fw.Dist, bw.Dist, fw, nil
+		// Wrap the ksssp result (distances + final-edge predecessors) so the
+		// witness builder can follow its chains; PredUnknown gaps surface as
+		// broken chains and simply yield no witness.
+		return fw.Dist, bw.Dist, &proto.MultiBFSResult{Dist: fw.Dist, Pred: fw.Pred}, nil
 	}
-	fw, err := ksssp.Run(net, ksssp.Spec{
-		Sources: s, Dir: proto.Forward, SampleFactor: spec.SampleFactor, Salt: 100 + spec.Salt,
-	})
+	bfs := proto.MultiBFSSpec{Sources: s}
+	if !unbounded {
+		bfs.Bound, bfs.Length, bfs.Stretch = bound, length, true
+	}
+	bfs.Dir = proto.Forward
+	fw, err := proto.RunMultiBFS(net, bfs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	bw, err := ksssp.Run(net, ksssp.Spec{
-		Sources: s, Dir: proto.Backward, SampleFactor: spec.SampleFactor, Salt: 200 + spec.Salt,
-	})
+	bfs.Dir = proto.Backward
+	bw, err := proto.RunMultiBFS(net, bfs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Wrap the ksssp result (distances + final-edge predecessors) so the
-	// witness builder can follow its chains; PredUnknown gaps surface as
-	// broken chains and simply yield no witness.
-	return fw.Dist, bw.Dist, &proto.MultiBFSResult{Dist: fw.Dist, Pred: fw.Pred}, nil
+	return fw.Dist, bw.Dist, fw, nil
 }

@@ -25,6 +25,11 @@
 // simple cycle (subject to the predecessor-edge exclusions implemented
 // below), so reported weights never undercut the true MWC; the coverage
 // argument bounds them from above.
+//
+// At small n (up to about 260 at the default constant) the sample W is all
+// of V. Step 1 is then a BFS from every vertex, which finds the lightest
+// cycle exactly, so by default Run skips steps 2-3 (Spec.PaperSchedule
+// runs them).
 package girth
 
 import (
@@ -56,6 +61,10 @@ type Spec struct {
 	Length func(a graph.Arc) int64
 	// Salt separates this phase's shared-randomness sample.
 	Salt int64
+	// PaperSchedule runs phases 2-3 even when the sample W is all of V,
+	// where the default skips them (see Run). The Table 1 harness sets it
+	// to reproduce the paper's round counts.
+	PaperSchedule bool
 }
 
 // Result is the outcome of a run.
@@ -127,25 +136,76 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y, z: -1}
 	})
 
-	// Phase 2: sigma-nearest neighbourhoods via top-sigma source detection.
+	// W = V is global knowledge (shared randomness), so testing it costs no
+	// rounds. Phase 1 is then a BFS from every vertex, which already finds
+	// the lightest cycle exactly; phases 2-3 cannot lower the minimum and
+	// are skipped.
+	if len(w) < n || spec.PaperSchedule {
+		if err := neighbourhoodCandidates(net, sigma, spec.Bound, length, best, wits); err != nil {
+			return nil, err
+		}
+	}
+
+	if spec.Bound > 0 {
+		for i := range best {
+			if best[i] > spec.Bound {
+				best[i] = seq.Inf
+			}
+		}
+	}
+
+	// Global minimum via tree + convergecast.
+	net.BeginPhase("girth:convergecast")
+	tree, err := proto.BuildTree(net, 0)
+	if err != nil {
+		net.EndPhase()
+		return nil, fmt.Errorf("girth: %w", err)
+	}
+	minW, err := proto.ConvergecastMin(net, tree, best)
+	net.EndPhase()
+	if err != nil {
+		return nil, fmt.Errorf("girth: %w", err)
+	}
+	out := &Result{
+		Weight: minW,
+		Found:  minW < seq.Inf,
+		Rounds: net.Stats().Rounds - startRounds,
+	}
+	if out.Found {
+		for v := 0; v < n; v++ {
+			if best[v] == minW {
+				out.Cycle = buildCycle(g, wits[v])
+				break
+			}
+		}
+	}
+	return out, nil
+}
+
+// neighbourhoodCandidates runs phases 2-3: the sigma-nearest neighbourhoods
+// by top-sigma source detection, the exact candidates inside them and the
+// one-vertex-outside refinement. It lowers best and records wits in place.
+func neighbourhoodCandidates(net *congest.Network, sigma int, bound int64, length func(graph.Arc) int64, best []int64, wits []witnessInfo) error {
+	g := net.Graph()
+	n := g.N()
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
 	net.BeginPhase("girth:neighbourhood-bfs")
 	resN, err := proto.RunMultiBFS(net, proto.MultiBFSSpec{
-		Sources: all, Dir: proto.Undirected, Bound: spec.Bound,
+		Sources: all, Dir: proto.Undirected, Bound: bound,
 		TopSigma: sigma, Length: length, Stretch: true,
 	})
 	if err != nil {
 		net.EndPhase()
-		return nil, fmt.Errorf("girth: neighbourhood BFS: %w", err)
+		return fmt.Errorf("girth: neighbourhood BFS: %w", err)
 	}
 	topSets := proto.TopSigmaSets(resN, sigma)
 	recvN, err := proto.ExchangeDistPred(net, resN, tagListEntry, topSets)
 	net.EndPhase()
 	if err != nil {
-		return nil, fmt.Errorf("girth: neighbourhood exchange: %w", err)
+		return fmt.Errorf("girth: neighbourhood exchange: %w", err)
 	}
 
 	// Phase 2 candidates: edges within neighbourhoods (exact for cycles
@@ -207,39 +267,5 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		}
 		touched = touched[:0]
 	}
-
-	if spec.Bound > 0 {
-		for i := range best {
-			if best[i] > spec.Bound {
-				best[i] = seq.Inf
-			}
-		}
-	}
-
-	// Global minimum via tree + convergecast.
-	net.BeginPhase("girth:convergecast")
-	tree, err := proto.BuildTree(net, 0)
-	if err != nil {
-		net.EndPhase()
-		return nil, fmt.Errorf("girth: %w", err)
-	}
-	minW, err := proto.ConvergecastMin(net, tree, best)
-	net.EndPhase()
-	if err != nil {
-		return nil, fmt.Errorf("girth: %w", err)
-	}
-	out := &Result{
-		Weight: minW,
-		Found:  minW < seq.Inf,
-		Rounds: net.Stats().Rounds - startRounds,
-	}
-	if out.Found {
-		for v := 0; v < n; v++ {
-			if best[v] == minW {
-				out.Cycle = buildCycle(g, wits[v])
-				break
-			}
-		}
-	}
-	return out, nil
+	return nil
 }

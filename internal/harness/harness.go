@@ -115,7 +115,7 @@ func UpperBoundsWithFactor(factor float64) map[Experiment]UpperBound {
 			Run: func(n int, seed int64) (RunResult, error) {
 				return runMWC(n, seed, gen.Random{N: n, P: pick(n), Directed: true, Seed: seed},
 					func(net *congest.Network) (int64, bool, error) {
-						r, err := dirmwc.Run(net, dirmwc.Spec{SampleFactor: factor})
+						r, err := dirmwc.Run(net, dirmwc.Spec{SampleFactor: factor, PaperSchedule: true})
 						if err != nil {
 							return 0, false, err
 						}
@@ -183,7 +183,7 @@ func UpperBoundsWithFactor(factor float64) map[Experiment]UpperBound {
 			Run: func(n int, seed int64) (RunResult, error) {
 				return runMWC(n, seed, gen.Random{N: n, P: pick(n), Seed: seed},
 					func(net *congest.Network) (int64, bool, error) {
-						r, err := girth.Run(net, girth.Spec{SampleFactor: factor})
+						r, err := girth.Run(net, girth.Spec{SampleFactor: factor, PaperSchedule: true})
 						if err != nil {
 							return 0, false, err
 						}
