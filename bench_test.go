@@ -532,7 +532,7 @@ func BenchmarkCSRHotPath(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := exact.MWC(net)
+				res, err := exact.MWC(net, exact.Spec{})
 				if err != nil {
 					b.Fatal(err)
 				}

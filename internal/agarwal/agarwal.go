@@ -24,8 +24,9 @@
 // early cheap cycles cut the distance waves of every remaining batch.
 //
 // The schedule is fully deterministic: batches are vertex-ID order, no
-// sampling, no eps. Memory per node is O(k) fields plus the batch's
-// exchange vectors.
+// sampling, no eps. Memory per node is O(k) fields plus, on undirected
+// graphs, the batch's neighbour rows (O(k) per neighbour), which the
+// batch's own relaxation delivers (HopDistSpec.Rows).
 package agarwal
 
 import (
@@ -38,8 +39,6 @@ import (
 	"congestmwc/internal/proto"
 	"congestmwc/internal/seq"
 )
-
-const tagBatchVec int64 = 501
 
 // Spec configures a run.
 type Spec struct {
@@ -129,39 +128,28 @@ func MWC(net *congest.Network, spec Spec) (*Result, error) {
 		}
 		batches++
 
+		// Undirected batches take the neighbour rows from the run itself.
+		// Pruning leaves a row entry out only where d(s,y) + w(x,y) reaches
+		// the bound, a candidate above best.
 		net.BeginPhase("agarwal:batch-sssp")
-		res, err := proto.HopDist(net, proto.HopDistSpec{Sources: batch, Dir: dir, Bound: bound})
+		res, err := proto.HopDist(net, proto.HopDistSpec{Sources: batch, Dir: dir, Bound: bound, Rows: !g.Directed()})
 		net.EndPhase()
 		if err != nil {
 			return nil, fmt.Errorf("agarwal: batch at %d: %w", lo, err)
 		}
 
 		if g.Directed() {
-			// res.Dist[u][i] = d(batch[i], u): combine with out-arc (u, v)
-			// for v in the batch.
-			for u := 0; u < n; u++ {
-				for _, a := range g.Out(u) {
-					if a.To < lo || a.To >= hi {
-						continue
-					}
-					i := a.To - lo
-					if d := res.Dist[u][i]; d < seq.Inf {
-						if c := a.Weight + d; c < mu[u] {
-							mu[u] = c
-							witnesses[u] = witnessInfo{res: res, field: i, src: a.To, at: u, via: a.To}
-						}
-					}
+			field := func(v int) int {
+				if v < lo || v >= hi {
+					return -1
 				}
+				return v - lo
 			}
+			proto.ClosingArcScan{Dist: res.Dist, Field: field}.Scan(g, mu, func(u, v, i int) {
+				witnesses[u] = witnessInfo{res: res, field: i, src: v, at: u, via: v}
+			})
 		} else {
-			net.BeginPhase("agarwal:exchange")
-			// Inf entries are not sent: they are the receiver's default.
-			recv, err := proto.ExchangeDistPred(net, res, tagBatchVec, nil)
-			net.EndPhase()
-			if err != nil {
-				return nil, fmt.Errorf("agarwal: exchange at %d: %w", lo, err)
-			}
-			proto.NonTreeScan{Res: res, Recv: recv}.Scan(g, mu, func(x, y, i int) {
+			proto.NonTreeScan{Res: res, Recv: res.Rows}.Scan(g, mu, func(x, y, i int) {
 				witnesses[x] = witnessInfo{res: res, field: i, src: lo + i, at: x, via: y}
 			})
 		}

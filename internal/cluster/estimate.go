@@ -15,8 +15,8 @@ import (
 // are fitted against the repo's own measurements in bench/csr_hotpath.json:
 //
 //   - exact (APSP baseline): O(n) rounds, O(n·m) messages. Measured
-//     dense_apsp (n=64, m=806): 136 rounds, 214 266 messages; the model
-//     gives 191 and 216 653.
+//     dense_apsp (n=64, m=806): 72 rounds, 108 026 messages; the model
+//     gives 75 and 108 326.
 //   - approx on weighted classes: O~(√n·log W) round factor on top of the
 //     hop-bounded BFS layers. Measured wmwc_approx (n=40, m=78, W=1024):
 //     22 134 rounds, 315 741 messages; the model gives 22 785 and 320 768.
@@ -51,8 +51,8 @@ func (Model) Estimate(in jobs.Info) jobs.CostEstimate {
 	case in.Algo == jobs.AlgoExact:
 		// The APSP baseline's rounds track n regardless of weights; its
 		// message volume is the n simultaneous SSSP-like floods over m edges.
-		rounds = 2.2*n + 50
-		messages = 4.2 * n * m
+		rounds = 1.1*n + 5
+		messages = 2.1 * n * m
 	case in.Weighted():
 		// Scaled BFS layers: the √n hop bound times the weight-binary-search
 		// depth, per source batch.

@@ -196,24 +196,17 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	}
 
 	// --- Line 4: cycles through sampled vertices. ---
-	sIdx := make(map[int]int, len(s))
+	sIdx := make([]int, n)
+	for v := range sIdx {
+		sIdx[v] = -1
+	}
 	for j, sv := range s {
 		sIdx[sv] = j
 	}
-	for v := 0; v < n; v++ {
-		for _, a := range g.Out(v) {
-			j, ok := sIdx[a.To]
-			if !ok {
-				continue
-			}
-			if d := distF[v][j]; d < seq.Inf {
-				if c := d + length(a); c < mu[v] {
-					mu[v] = c
-					wit[v] = dwit{kind: witSampled, src: int32(j)}
-				}
-			}
-		}
-	}
+	field := func(v int) int { return sIdx[v] }
+	proto.ClosingArcScan{Dist: distF, Field: field, Length: length}.Scan(g, mu, func(v, _, j int) {
+		wit[v] = dwit{kind: witSampled, src: int32(j)}
+	})
 
 	// --- Line 5 and Algorithm 3: cycles avoiding S. ---
 	var tree *proto.Tree
@@ -344,7 +337,9 @@ func avoidingSample(net *congest.Network, sp shortSpec) (*proto.Tree, int, *shor
 // already within the round budget for bounded distances. A saturated
 // unbounded run (S = V) uses an unbounded plain BFS: Algorithm 1 with k = n
 // sources has h = n, so its step-5 BFS is already exact and its combination
-// step never replaces it, giving the same distances and predecessors.
+// step never replaces it, giving the same distances and predecessors. A
+// saturated run skips the backward BFS and returns a nil distB: only
+// Algorithm 3 reads it, and Run skips Algorithm 3 then.
 func sampleDistances(net *congest.Network, spec Spec, s []int, bound int64, length func(graph.Arc) int64, saturated bool) (distF, distB [][]int64, predF *proto.MultiBFSResult, err error) {
 	unbounded := spec.Bound <= 0 && spec.Length == nil
 	if unbounded && !saturated {
@@ -373,6 +368,9 @@ func sampleDistances(net *congest.Network, spec Spec, s []int, bound int64, leng
 	fw, err := proto.RunMultiBFS(net, bfs)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if saturated {
+		return fw.Dist, nil, fw, nil
 	}
 	bfs.Dir = proto.Backward
 	bw, err := proto.RunMultiBFS(net, bfs)

@@ -9,7 +9,7 @@ import (
 
 func TestConformanceAllClasses(t *testing.T) {
 	algo := func(net *congest.Network) (int64, bool, error) {
-		res, err := MWC(net)
+		res, err := MWC(net, Spec{})
 		if err != nil {
 			return 0, false, err
 		}

@@ -19,7 +19,10 @@
 //     at least one edge of C is a non-tree edge, so the minimum is exact;
 //     conversely every non-tree candidate contains a simple cycle (the two
 //     tree paths diverge at their LCA and are vertex-disjoint below it).
-//     Undirected girth (unweighted MWC) is the same computation.
+//     Undirected girth (unweighted MWC) is the same computation. Each node
+//     reads d(s,y) and y's predecessor from the neighbour rows the APSP
+//     relaxation already delivered; Spec.PaperSchedule sends them in a
+//     separate n-wide vector exchange instead, as the reductions describe.
 package exact
 
 import (
@@ -33,6 +36,15 @@ import (
 )
 
 const tagVec int64 = 401
+
+// Spec configures a run.
+type Spec struct {
+	// PaperSchedule runs the undirected extraction on a separate exchange
+	// of every node's full distance vector, where the default takes the
+	// neighbours' rows from the APSP run. The Table 1 harness and the
+	// lower-bound meter set it to reproduce the baselines' round counts.
+	PaperSchedule bool
+}
 
 // Result is the outcome of an exact MWC computation.
 type Result struct {
@@ -59,7 +71,7 @@ type witnessInfo struct {
 }
 
 // MWC computes the exact minimum weight cycle via distributed APSP.
-func MWC(net *congest.Network) (*Result, error) {
+func MWC(net *congest.Network, spec Spec) (*Result, error) {
 	g := net.Graph()
 	n := g.N()
 	startRounds := net.Stats().Rounds
@@ -72,7 +84,7 @@ func MWC(net *congest.Network) (*Result, error) {
 		dir = proto.Undirected
 	}
 	net.BeginPhase("exact:apsp")
-	res, err := proto.HopDist(net, proto.HopDistSpec{Sources: all, Dir: dir})
+	res, err := proto.HopDist(net, proto.HopDistSpec{Sources: all, Dir: dir, Rows: !g.Directed() && !spec.PaperSchedule})
 	net.EndPhase()
 	if err != nil {
 		return nil, fmt.Errorf("exact: apsp: %w", err)
@@ -84,31 +96,26 @@ func MWC(net *congest.Network) (*Result, error) {
 	}
 	witnesses := make([]witnessInfo, n)
 	if g.Directed() {
-		// res.Dist[u][v] = d(v, u): combine with out-arc (u, v).
-		for u := 0; u < n; u++ {
-			for _, a := range g.Out(u) {
-				if d := res.Dist[u][a.To]; d < seq.Inf {
-					if c := a.Weight + d; c < mu[u] {
-						mu[u] = c
-						witnesses[u] = witnessInfo{at: u, via: a.To, src: -1}
-					}
-				}
+		field := func(v int) int { return v }
+		proto.ClosingArcScan{Dist: res.Dist, Field: field}.Scan(g, mu, func(u, v, _ int) {
+			witnesses[u] = witnessInfo{at: u, via: v, src: -1}
+		})
+	} else {
+		if spec.PaperSchedule {
+			net.BeginPhase("exact:exchange")
+			// Every entry is sent, Inf included: the full n-wide vector.
+			res.Rows, err = proto.Exchange(net, proto.ExchangeSpec{
+				Tag: tagVec, Fields: n,
+				Value: func(v, s int) (proto.Pair, bool) {
+					return proto.Pair{A: res.Dist[v][s], B: int64(res.Pred[v][s])}, true
+				},
+			})
+			net.EndPhase()
+			if err != nil {
+				return nil, fmt.Errorf("exact: exchange: %w", err)
 			}
 		}
-	} else {
-		net.BeginPhase("exact:exchange")
-		// Every entry is sent, Inf included: the full n-wide vector.
-		recv, err := proto.Exchange(net, proto.ExchangeSpec{
-			Tag: tagVec, Fields: n,
-			Value: func(v, s int) (proto.Pair, bool) {
-				return proto.Pair{A: res.Dist[v][s], B: int64(res.Pred[v][s])}, true
-			},
-		})
-		net.EndPhase()
-		if err != nil {
-			return nil, fmt.Errorf("exact: exchange: %w", err)
-		}
-		proto.NonTreeScan{Res: res, Recv: recv}.Scan(g, mu, func(x, y, s int) {
+		proto.NonTreeScan{Res: res, Recv: res.Rows}.Scan(g, mu, func(x, y, s int) {
 			witnesses[x] = witnessInfo{at: x, via: y, src: s}
 		})
 	}

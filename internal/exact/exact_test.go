@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"slices"
 	"testing"
 
 	"congestmwc/internal/congest"
@@ -30,10 +31,22 @@ func TestMWCMatchesSeqAcrossClasses(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, ok := seq.MWC(g)
-				net := newNet(t, g, seed+5)
-				res, err := MWC(net)
+				res, err := MWC(newNet(t, g, seed+5), Spec{})
 				if err != nil {
 					t.Fatal(err)
+				}
+				// The paper schedule's separate exchange delivers the same
+				// rows, so the same witness.
+				paper, err := MWC(newNet(t, g, seed+5), Spec{PaperSchedule: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if paper.Weight != res.Weight || paper.Found != res.Found || !slices.Equal(paper.Cycle, res.Cycle) {
+					t.Errorf("seed %d dir=%v w=%v: paper schedule (%d,%v,%v), default (%d,%v,%v)", seed, directed, weighted,
+						paper.Weight, paper.Found, paper.Cycle, res.Weight, res.Found, res.Cycle)
+				}
+				if !directed && res.Rounds >= paper.Rounds {
+					t.Errorf("seed %d w=%v: default %d rounds, paper schedule %d", seed, weighted, res.Rounds, paper.Rounds)
 				}
 				if res.Found != ok || (ok && res.Weight != want) {
 					t.Errorf("seed %d dir=%v w=%v: got (%d,%v), want (%d,%v)",
@@ -57,7 +70,7 @@ func TestMWCAcyclic(t *testing.T) {
 	dag := graph.MustBuild(5, []graph.Edge{
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
 	}, graph.Options{Directed: true})
-	res, err := MWC(newNet(t, dag, 1))
+	res, err := MWC(newNet(t, dag, 1), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +78,7 @@ func TestMWCAcyclic(t *testing.T) {
 		t.Errorf("found cycle %d in a DAG", res.Weight)
 	}
 	tree := gen.Path(7)
-	res2, err := MWC(newNet(t, tree, 1))
+	res2, err := MWC(newNet(t, tree, 1), Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +97,7 @@ func TestMWCPlanted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MWC(newNet(t, g, 2))
+		res, err := MWC(newNet(t, g, 2), Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +110,7 @@ func TestMWCPlanted(t *testing.T) {
 func TestGirthExactOnRings(t *testing.T) {
 	for _, n := range []int{4, 7, 12} {
 		g := gen.Ring(n, false, false, 1)
-		res, err := MWC(newNet(t, g, int64(n)))
+		res, err := MWC(newNet(t, g, int64(n)), Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +128,7 @@ func TestMWCRoundsNearLinearUnweighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := newNet(t, g, 9)
-	res, err := MWC(net)
+	res, err := MWC(net, Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

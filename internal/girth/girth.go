@@ -62,8 +62,10 @@ type Spec struct {
 	// Salt separates this phase's shared-randomness sample.
 	Salt int64
 	// PaperSchedule runs phases 2-3 even when the sample W is all of V,
-	// where the default skips them (see Run). The Table 1 harness sets it
-	// to reproduce the paper's round counts.
+	// where the default skips them (see Run), and sends phase 1's
+	// neighbour rows in a separate exchange, where the default takes them
+	// from the BFS itself. The Table 1 harness sets it to reproduce the
+	// paper's round counts.
 	PaperSchedule bool
 }
 
@@ -119,20 +121,22 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	if spec.Bound > 0 {
 		boundW = 2 * spec.Bound
 	}
+	// The BFS hands each node its neighbours' rows; the paper schedule
+	// exchanges them in a second step instead. The rows differ only where
+	// d(w,y) + len(x,y) > boundW, a candidate above Bound either way.
 	net.BeginPhase("girth:sampled-bfs")
 	resW, err := proto.RunMultiBFS(net, proto.MultiBFSSpec{
 		Sources: w, Dir: proto.Undirected, Bound: boundW, Length: length, Stretch: true,
+		Rows: !spec.PaperSchedule,
 	})
-	if err != nil {
-		net.EndPhase()
-		return nil, fmt.Errorf("girth: sampled BFS: %w", err)
+	if err == nil && spec.PaperSchedule {
+		resW.Rows, err = proto.ExchangeDistPred(net, resW, tagListEntry, nil)
 	}
-	recvW, err := proto.ExchangeDistPred(net, resW, tagListEntry, nil)
 	net.EndPhase()
 	if err != nil {
-		return nil, fmt.Errorf("girth: sampled exchange: %w", err)
+		return nil, fmt.Errorf("girth: sampled BFS: %w", err)
 	}
-	proto.NonTreeScan{Res: resW, Recv: recvW, Length: length}.Scan(g, best, func(x, y, wi int) {
+	proto.NonTreeScan{Res: resW, Recv: resW.Rows, Length: length}.Scan(g, best, func(x, y, wi int) {
 		wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y, z: -1}
 	})
 

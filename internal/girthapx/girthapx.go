@@ -9,7 +9,8 @@
 //
 //  1. Sample W of ~sqrt(n)*log n vertices and compute EXACT shortest paths
 //     from W with proto.HopDist (pipelined BFS on unit weights, pipelined
-//     Bellman-Ford otherwise). Candidates come from non-tree edges of each
+//     Bellman-Ford otherwise), which also hands each node its neighbours'
+//     (dist, pred) rows. Candidates come from non-tree edges of each
 //     sampled tree: for a minimum weight cycle C and u on C, the best
 //     candidate from w is at most w(C) + 2 d(w,u).
 //  2. Compute each vertex's sigma = ceil(sqrt(n)) nearest vertices with
@@ -119,17 +120,12 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	net.BeginPhase("girthapx:sampled-sssp")
 	// Exact distances (no eps): the factor-2 argument has no room for a
 	// (1+eps) error.
-	resW, err := proto.HopDist(net, proto.HopDistSpec{Sources: w, Dir: proto.Undirected})
-	if err != nil {
-		net.EndPhase()
-		return nil, fmt.Errorf("girthapx: sampled SSSP: %w", err)
-	}
-	recvW, err := proto.ExchangeDistPred(net, resW, tagListEntry, nil)
+	resW, err := proto.HopDist(net, proto.HopDistSpec{Sources: w, Dir: proto.Undirected, Rows: true})
 	net.EndPhase()
 	if err != nil {
-		return nil, fmt.Errorf("girthapx: sampled exchange: %w", err)
+		return nil, fmt.Errorf("girthapx: sampled SSSP: %w", err)
 	}
-	proto.NonTreeScan{Res: resW, Recv: recvW}.Scan(g, best, func(x, y, wi int) {
+	proto.NonTreeScan{Res: resW, Recv: resW.Rows}.Scan(g, best, func(x, y, wi int) {
 		wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y}
 	})
 

@@ -102,7 +102,7 @@ func UpperBoundsWithFactor(factor float64) map[Experiment]UpperBound {
 			Run: func(n int, seed int64) (RunResult, error) {
 				return runMWC(n, seed, gen.Random{N: n, P: pick(n), Directed: true, Seed: seed},
 					func(net *congest.Network) (int64, bool, error) {
-						r, err := exact.MWC(net)
+						r, err := exact.MWC(net, exact.Spec{PaperSchedule: true})
 						if err != nil {
 							return 0, false, err
 						}
@@ -143,7 +143,7 @@ func UpperBoundsWithFactor(factor float64) map[Experiment]UpperBound {
 				return runMWC(n, seed,
 					gen.Random{N: n, P: pick(n), Weighted: true, MaxW: 32, Seed: seed},
 					func(net *congest.Network) (int64, bool, error) {
-						r, err := exact.MWC(net)
+						r, err := exact.MWC(net, exact.Spec{PaperSchedule: true})
 						if err != nil {
 							return 0, false, err
 						}
@@ -170,7 +170,7 @@ func UpperBoundsWithFactor(factor float64) map[Experiment]UpperBound {
 			Run: func(n int, seed int64) (RunResult, error) {
 				return runMWC(n, seed, gen.Random{N: n, P: pick(n), Seed: seed},
 					func(net *congest.Network) (int64, bool, error) {
-						r, err := exact.MWC(net)
+						r, err := exact.MWC(net, exact.Spec{PaperSchedule: true})
 						if err != nil {
 							return 0, false, err
 						}

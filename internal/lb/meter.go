@@ -38,9 +38,10 @@ type Measurement struct {
 // computed weight.
 type Algorithm func(net *congest.Network) (weight int64, found bool, err error)
 
-// ExactMWC is the Algorithm wrapper for the exact APSP-based baseline.
+// ExactMWC is the Algorithm wrapper for the exact APSP-based baseline, run
+// on the baselines' schedule (exact.Spec.PaperSchedule).
 func ExactMWC(net *congest.Network) (int64, bool, error) {
-	res, err := exact.MWC(net)
+	res, err := exact.MWC(net, exact.Spec{PaperSchedule: true})
 	if err != nil {
 		return 0, false, err
 	}

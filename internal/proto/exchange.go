@@ -49,8 +49,9 @@ type ExchangeSpec struct {
 // predecessor.
 var absent = Pair{A: seq.Inf, B: -1}
 
-// Received is what every node received in one exchange. Rows are indexed
-// by the node's sorted-neighbour slot: slot i of node v holds what
+// Received is what every node received in one exchange, or the neighbour
+// rows of one relaxation (MultiBFSSpec.Rows). Rows are indexed by the
+// node's sorted-neighbour slot: slot i of node v holds what
 // Network.Neighbors(v)[i] sent.
 type Received struct {
 	nbrs  [][]int // per node, the network's sorted communication neighbours
@@ -64,15 +65,32 @@ type Received struct {
 	ents        []Entry
 }
 
-// Exchange runs one neighbour exchange and returns what every node
-// received.
-func Exchange(net *congest.Network, spec ExchangeSpec) (*Received, error) {
+// newReceived lays out one slot per node and communication neighbour,
+// with no rows yet.
+func newReceived(net *congest.Network) *Received {
 	n := net.Graph().N()
 	r := &Received{nbrs: make([][]int, n), off: make([]int, n+1)}
 	for v := 0; v < n; v++ {
 		r.nbrs[v] = net.Neighbors(v)
 		r.off[v+1] = r.off[v] + len(r.nbrs[v])
 	}
+	return r
+}
+
+// setDense gives every slot a k-wide row of absent entries.
+func (r *Received) setDense(k int) {
+	r.k = k
+	r.dense = make([]Pair, r.off[len(r.off)-1]*k)
+	for i := range r.dense {
+		r.dense[i] = absent
+	}
+}
+
+// Exchange runs one neighbour exchange and returns what every node
+// received.
+func Exchange(net *congest.Network, spec ExchangeSpec) (*Received, error) {
+	n := net.Graph().N()
+	r := newReceived(net)
 	slots := r.off[n]
 	if spec.Sets != nil {
 		if len(spec.Sets) != n {
@@ -88,11 +106,7 @@ func Exchange(net *congest.Network, spec ExchangeSpec) (*Received, error) {
 		r.end = slices.Clone(r.rowOff[:slots])
 		r.ents = make([]Entry, r.rowOff[slots])
 	} else {
-		r.k = spec.Fields
-		r.dense = make([]Pair, slots*r.k)
-		for i := range r.dense {
-			r.dense[i] = absent
-		}
+		r.setDense(spec.Fields)
 	}
 	nodes := make([]exchangeNode, n)
 	progs := make([]congest.Program, n)
@@ -267,6 +281,41 @@ func (s NonTreeScan) Scan(g *graph.Graph, best []int64, found func(x, y, f int))
 					best[x] = c
 					found(x, y, f)
 				}
+			}
+		}
+	}
+}
+
+// ClosingArcScan is the directed cycle-candidate extraction shared by the
+// exact algorithms and the sampled cycles of dirmwc. Dist is a Forward
+// run's table, so Dist[u][f] is d(f's source, u). At node u, each out-arc
+// (u,v) whose head is the source of field Field(v) closes the candidate
+// len(u,v) + d(v,u): a shortest v -> u path is simple and cannot use
+// (u,v), so every candidate is a simple cycle.
+type ClosingArcScan struct {
+	Dist [][]int64
+	// Field returns the field whose source is v, or -1 for none.
+	Field func(v int) int
+	// Length is the closing arc's length; nil means the arc weight.
+	Length func(a graph.Arc) int64
+}
+
+// Scan lowers best[u] to each improving candidate at u, visiting arcs in
+// g.Out order, and reports every improvement as found(u, v, f).
+func (s ClosingArcScan) Scan(g *graph.Graph, best []int64, found func(u, v, f int)) {
+	for u := 0; u < g.N(); u++ {
+		for _, a := range g.Out(u) {
+			f := s.Field(a.To)
+			if f < 0 || s.Dist[u][f] >= seq.Inf {
+				continue
+			}
+			al := a.Weight
+			if s.Length != nil {
+				al = s.Length(a)
+			}
+			if c := al + s.Dist[u][f]; c < best[u] {
+				best[u] = c
+				found(u, a.To, f)
 			}
 		}
 	}

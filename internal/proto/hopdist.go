@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+
 	"congestmwc/internal/congest"
 	"congestmwc/internal/graph"
 	"congestmwc/internal/seq"
@@ -26,6 +28,10 @@ type HopDistSpec struct {
 	Eps float64
 	// Dir is the traversal direction.
 	Dir Direction
+	// Rows asks the exact engines for the neighbour rows of the run
+	// (MultiBFSSpec.Rows), filtered like the distances when Bound is set.
+	// Only with Eps == 0 on undirected graphs.
+	Rows bool
 }
 
 // HopDist computes multi-source distances on the network. It is the one
@@ -43,6 +49,9 @@ type HopDistSpec struct {
 // The exact engines discard estimates of Bound or more at record time, so
 // they are never forwarded. Result fields follow MultiBFSResult conventions.
 func HopDist(net *congest.Network, spec HopDistSpec) (*MultiBFSResult, error) {
+	if spec.Rows && spec.Eps > 0 {
+		return nil, fmt.Errorf("proto: neighbour rows need exact distances (Eps == 0)")
+	}
 	g := net.Graph()
 	// Distances are integers, so d < Bound is d <= Bound-1, the inclusive
 	// MultiBFSSpec.Bound. Bound 1 maps to 0 (no pruning) and relies on the
@@ -64,10 +73,10 @@ func HopDist(net *congest.Network, spec HopDistSpec) (*MultiBFSResult, error) {
 		if h := int64(spec.H); h > 0 && (prune <= 0 || h < prune) {
 			prune = h
 		}
-		res, err = RunMultiBFS(net, MultiBFSSpec{Sources: spec.Sources, Dir: spec.Dir, Bound: prune})
+		res, err = RunMultiBFS(net, MultiBFSSpec{Sources: spec.Sources, Dir: spec.Dir, Bound: prune, Rows: spec.Rows})
 	default:
 		res, err = RunMultiBFS(net, MultiBFSSpec{
-			Sources: spec.Sources, Dir: spec.Dir, Bound: prune,
+			Sources: spec.Sources, Dir: spec.Dir, Bound: prune, Rows: spec.Rows,
 			Length: func(a graph.Arc) int64 { return a.Weight },
 		})
 	}
@@ -79,6 +88,14 @@ func HopDist(net *congest.Network, spec HopDistSpec) (*MultiBFSResult, error) {
 			if d >= spec.Bound && d < seq.Inf {
 				res.Dist[v][i] = seq.Inf
 				res.Pred[v][i] = -1
+			}
+		}
+	}
+	if res.Rows != nil {
+		// Pruning at Bound-1 already drops the rest, except under Bound 1.
+		for i, e := range res.Rows.dense {
+			if e.A >= spec.Bound && e.A < seq.Inf {
+				res.Rows.dense[i] = absent
 			}
 		}
 	}

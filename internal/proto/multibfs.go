@@ -59,6 +59,13 @@ type MultiBFSSpec struct {
 	// crosses its edge in one round and the protocol is the pipelined
 	// distributed Bellman-Ford.
 	Stretch bool
+	// Rows asks for MultiBFSResult.Rows: at every node, each neighbour's
+	// final (dist, pred) per field, as far as the relaxation sent it. Every
+	// relaxation message then carries the sender's predecessor too (tag
+	// plus three words, one message at the default bandwidth). Only on
+	// undirected graphs, where both orientations of an edge have the same
+	// length, and without TopSigma.
+	Rows bool
 }
 
 // MultiBFSResult holds per-node distance fields.
@@ -70,6 +77,12 @@ type MultiBFSResult struct {
 	// estimate (-1 for none, e.g. at the source itself). Pred edges form,
 	// per field, a tree of shortest paths.
 	Pred [][]int32
+	// Rows, when the spec asked for them, are the neighbour rows in the
+	// dense shape of a field-wide ExchangeDistPred: field f of y's slot at
+	// x is (d(f,y), y's pred) wherever y forwarded that distance to x, and
+	// (seq.Inf, -1) elsewhere. A sender forwards only d+len <= Bound, so an
+	// entry is missing exactly when d(f,y) + len(x,y) exceeds Bound.
+	Rows *Received
 	// Rounds consumed by this run.
 	Rounds int
 }
@@ -154,10 +167,17 @@ type arcState struct {
 	head, tail int32 // -1 when the queue is empty
 }
 
+// bfsRun is what a run's nodes share: the spec and, when it asks for
+// them, the neighbour rows each node fills in its own slots.
+type bfsRun struct {
+	MultiBFSSpec
+	rows *Received
+}
+
 type bfsNode struct {
 	congest.Base
 	v     int
-	spec  *MultiBFSSpec
+	spec  *bfsRun
 	dist  []int64
 	pred  []int32
 	dirty pairHeap
@@ -246,6 +266,17 @@ func (b *bfsNode) Deliver(nd *congest.Node, d congest.Delivery) {
 	}
 	field := int32(d.Msg.Words[0])
 	b.record(field, d.Msg.Words[1], int32(d.From))
+	if r := b.spec.rows; r != nil {
+		// The sender's distance is the value minus the edge's length; arcs
+		// and neighbour slots share one order on an undirected graph. Its
+		// distances only fall and its link is FIFO, so the smallest value
+		// heard is its final distance, sent with its final predecessor.
+		s := slotOf(nd.Neighbors(), d.From)
+		e := &r.dense[(r.off[b.v]+s)*r.k+int(field)]
+		if dy := d.Msg.Words[1] - b.out[s].length; dy < e.A {
+			*e = Pair{A: dy, B: d.Msg.Words[2]}
+		}
+	}
 }
 
 // rank returns how many known (dist, field) pairs are lexicographically
@@ -284,7 +315,7 @@ func (b *bfsNode) Tick(nd *congest.Node) {
 				continue
 			}
 			if length == 1 || !b.spec.Stretch {
-				nd.SendTag(a.To, tagBFSPair, int64(it.field), nd2)
+				b.send(nd, a.To, it.field, nd2)
 				continue
 			}
 			fire := now + int(length) - 1
@@ -300,6 +331,17 @@ func (b *bfsNode) Tick(nd *congest.Node) {
 	if len(b.dirty) > 0 {
 		nd.WakeNext()
 	}
+}
+
+// send forwards one relaxation. With Rows it adds the predecessor as it is
+// now: a delayed send may leave after its distance was superseded, but the
+// final distance's send is queued after it, carrying the final predecessor.
+func (b *bfsNode) send(nd *congest.Node, to int, field int32, d int64) {
+	if b.spec.Rows {
+		nd.SendTag(to, tagBFSPair, int64(field), d, int64(b.pred[field]))
+		return
+	}
+	nd.SendTag(to, tagBFSPair, int64(field), d)
 }
 
 // enqueue appends e to arc i's queue, reusing a freed pool entry if any.
@@ -348,7 +390,7 @@ func (b *bfsNode) flushArc(nd *congest.Node, i, now, next int) int {
 		return next
 	}
 	if p := b.pool[q.head]; p.fire <= now {
-		nd.SendTag(b.arcs[i].To, tagBFSPair, int64(p.field), p.dist)
+		b.send(nd, b.arcs[i].To, p.field, p.dist)
 		b.pending--
 		b.pool[q.head].next = b.free
 		b.free = q.head
@@ -374,9 +416,16 @@ func RunMultiBFS(net *congest.Network, spec MultiBFSSpec) (*MultiBFSResult, erro
 	if spec.Dir == 0 {
 		spec.Dir = Undirected
 	}
+	if spec.Rows && (net.Graph().Directed() || spec.TopSigma > 0) {
+		return nil, fmt.Errorf("proto: neighbour rows need an undirected graph and no TopSigma")
+	}
 	res := &MultiBFSResult{
 		Dist: make([][]int64, n),
 		Pred: make([][]int32, n),
+	}
+	if spec.Rows {
+		res.Rows = newReceived(net)
+		res.Rows.setDense(k)
 	}
 	// One arena per table, sliced into the nodes' rows.
 	dists := make([]int64, n*k)
@@ -387,10 +436,11 @@ func RunMultiBFS(net *congest.Network, spec MultiBFSSpec) (*MultiBFSResult, erro
 	}
 	progs := make([]congest.Program, n)
 	nodes := make([]bfsNode, n)
+	run := &bfsRun{MultiBFSSpec: spec, rows: res.Rows}
 	for v := range nodes {
 		res.Dist[v] = dists[v*k : (v+1)*k : (v+1)*k]
 		res.Pred[v] = preds[v*k : (v+1)*k : (v+1)*k]
-		nodes[v] = bfsNode{v: v, spec: &spec, dist: res.Dist[v], pred: res.Pred[v]}
+		nodes[v] = bfsNode{v: v, spec: run, dist: res.Dist[v], pred: res.Pred[v]}
 		progs[v] = &nodes[v]
 	}
 	rounds, err := net.Run(progs, 0)

@@ -41,9 +41,9 @@ func TestRoundCountRegression(t *testing.T) {
 		approxRounds, exactRounds int
 		approxWeight, exactWeight int64
 	}{
-		{class: Undirected, approxRounds: 107, approxWeight: 3, exactRounds: 107, exactWeight: 3},
-		{class: Directed, approxRounds: 110, approxWeight: 2, exactRounds: 60, exactWeight: 2},
-		{class: UndirectedWeighted, approxRounds: 11102, approxWeight: 8, exactRounds: 109, exactWeight: 8},
+		{class: Undirected, approxRounds: 59, approxWeight: 3, exactRounds: 59, exactWeight: 3},
+		{class: Directed, approxRounds: 60, approxWeight: 2, exactRounds: 60, exactWeight: 2},
+		{class: UndirectedWeighted, approxRounds: 11003, approxWeight: 8, exactRounds: 61, exactWeight: 8},
 		{class: DirectedWeighted, approxRounds: 15537, approxWeight: 3, exactRounds: 61, exactWeight: 3},
 	}
 	for _, tc := range cases {
