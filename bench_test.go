@@ -289,8 +289,9 @@ func BenchmarkAblationEngine(b *testing.B) {
 // with Options.Stepwise iteration; results and round counts are asserted
 // identical, so the ns/op ratio between the sub-benchmarks is exactly the
 // scheduler's win (wall clock per delivered message vs per elapsed round).
-// Recorded in bench/stretched_idle.json; the CI bench smoke keeps it
-// compiling and honest.
+// Recorded in bench/stretched_idle.json, one case per workload/mode result;
+// CI pipes its bench smoke through scripts/benchgate.go, so rounds/op and
+// messages/op are gated exactly and ns/op with a wall-clock tolerance.
 func BenchmarkStretchedIdleRounds(b *testing.B) {
 	type result struct {
 		rounds   int

@@ -11,7 +11,7 @@
 //
 // Replay it against a running server:
 //
-//	mwcreplay -trace trace.jsonl -base http://127.0.0.1:8356 -json report.json
+//	mwcreplay -trace trace.jsonl -base http://127.0.0.1:8356
 //
 // A trace is one JSON event per line, each stamped with a millisecond
 // offset from trace start: open (a full job spec), patch (a batch of edge
@@ -29,11 +29,9 @@
 // throughput, the witness-kept and invalidation split from PATCH
 // responses, the clean-on-arrival rate for queries, and (when the target
 // exposes mwcd_session_* series on /metrics — mwcd does, the router does
-// not) the server-side cached-answer and recompute deltas. -json writes
-// the same numbers as a bench report in the mwcbench schema, so a
-// recorded run can serve as a scripts/benchgate.go baseline;
-// -bench-out FILE folds `go test -bench` output (e.g.
-// BenchmarkSessionHotPath) into the report as gated ns/op cases.
+// not) the server-side cached-answer and recompute deltas. The report is
+// for reading, not gating: the session hot paths are gated as
+// BenchmarkSessionHotPath figures (bench/session_hotpath.json).
 package main
 
 import (
@@ -46,7 +44,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,11 +85,9 @@ func main() {
 		offWitness = flag.Float64("offwitness", 0.6, "fraction of weighted-class mutations that are answer-preserving")
 		seed       = flag.Int64("seed", 1, "trace generator seed")
 
-		trace    = flag.String("trace", "", "replay this JSONL trace")
-		base     = flag.String("base", "http://127.0.0.1:8356", "base URL of the mwcd or mwcrouter to replay against")
-		speed    = flag.Float64("speed", 1, "replay time scale (2 = twice as fast as recorded)")
-		jsonOut  = flag.String("json", "", "write the replay report as mwcbench-schema JSON to this path")
-		benchOut = flag.String("bench-out", "", "fold `go test -bench` output from this file into the JSON report as gated cases")
+		trace = flag.String("trace", "", "replay this JSONL trace")
+		base  = flag.String("base", "http://127.0.0.1:8356", "base URL of the mwcd or mwcrouter to replay against")
+		speed = flag.Float64("speed", 1, "replay time scale (2 = twice as fast as recorded)")
 	)
 	flag.Parse()
 
@@ -106,7 +101,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *trace != "":
-		if err := runReplay(*trace, *base, *speed, *jsonOut, *benchOut, os.Args[1:]); err != nil {
+		if err := runReplay(*trace, *base, *speed); err != nil {
 			fmt.Fprintln(os.Stderr, "mwcreplay:", err)
 			os.Exit(1)
 		}
@@ -451,7 +446,7 @@ func (st *replayStats) errf(format string, args ...any) {
 }
 
 // runReplay drives the trace against the base URL and prints the report.
-func runReplay(path, base string, speed float64, jsonOut, benchOut string, argv []string) error {
+func runReplay(path, base string, speed float64) error {
 	if speed <= 0 {
 		return fmt.Errorf("replay: -speed must be positive")
 	}
@@ -487,11 +482,6 @@ func runReplay(path, base string, speed float64, jsonOut, benchOut string, argv 
 	after := scrapeSessionMetrics(client, base)
 
 	report(os.Stdout, st, elapsed, base, before, after)
-	if jsonOut != "" {
-		if err := writeJSONReport(jsonOut, st, elapsed, benchOut, argv); err != nil {
-			return err
-		}
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if len(st.errs) > 0 {
@@ -778,169 +768,4 @@ func metricsDelta(before, after map[string]float64) string {
 			strings.TrimSuffix(strings.TrimPrefix(name, "mwcd_session_"), "_total"), a-before[name]))
 	}
 	return strings.Join(parts, "  ")
-}
-
-// -------------------------------------------------------------- JSON report
-
-// benchReport mirrors the mwcbench -json schema so a recorded replay can
-// sit in bench/ next to the other baselines and feed scripts/benchgate.go.
-type benchReport struct {
-	Benchmark   string           `json:"benchmark"`
-	Recorded    string           `json:"recorded"`
-	Purpose     string           `json:"purpose"`
-	Environment benchEnvironment `json:"environment"`
-	Cases       []benchCase      `json:"cases"`
-}
-
-type benchEnvironment struct {
-	Goos      string `json:"goos"`
-	Goarch    string `json:"goarch"`
-	CPU       string `json:"cpu"`
-	Benchtime string `json:"benchtime"`
-	Command   string `json:"command"`
-}
-
-// benchCase carries replay statistics (latency percentiles, rates) for
-// ungated cases and ns_per_op/allocs_per_op for the gated ones folded in
-// from -bench-out. benchgate only gates cases that carry an ns figure.
-type benchCase struct {
-	Name          string   `json:"name"`
-	Workload      string   `json:"workload"`
-	Count         int      `json:"count,omitempty"`
-	P50Ms         float64  `json:"p50_ms,omitempty"`
-	P90Ms         float64  `json:"p90_ms,omitempty"`
-	P99Ms         float64  `json:"p99_ms,omitempty"`
-	EventsPerSec  float64  `json:"events_per_sec,omitempty"`
-	WitnessKept   int      `json:"witness_kept,omitempty"`
-	Invalidated   int      `json:"invalidated,omitempty"`
-	CleanOnArrive int      `json:"clean_on_arrival,omitempty"`
-	NsPerOp       float64  `json:"ns_per_op,omitempty"`
-	AllocsPerOp   *float64 `json:"allocs_per_op,omitempty"`
-}
-
-func writeJSONReport(path string, st *replayStats, elapsed time.Duration, benchOut string, argv []string) error {
-	st.mu.Lock()
-	rep := benchReport{
-		Benchmark: "mwcreplay",
-		Recorded:  time.Now().UTC().Format("2006-01-02"),
-		Purpose: "Dynamic-session replay statistics plus gated BenchmarkSessionHotPath figures: " +
-			"the ns_per_op cases regression-gate the witness-kept PATCH and cached-query hot " +
-			"paths via scripts/benchgate.go; the latency cases document a recorded replay.",
-		Environment: benchEnvironment{
-			Goos:      runtime.GOOS,
-			Goarch:    runtime.GOARCH,
-			CPU:       cpuModel(),
-			Benchtime: fmt.Sprintf("%d events", len(st.samples)),
-			Command:   "mwcreplay " + strings.Join(argv, " "),
-		},
-	}
-	for _, kind := range []string{"open", "patch", "query", "close"} {
-		p50, p90, p99, n := percentiles(st.samples, kind)
-		if n == 0 {
-			continue
-		}
-		c := benchCase{
-			Name:     "replay/" + kind,
-			Workload: fmt.Sprintf("%s events of the replayed trace", kind),
-			Count:    n,
-			P50Ms:    float64(p50) / 1e6,
-			P90Ms:    float64(p90) / 1e6,
-			P99Ms:    float64(p99) / 1e6,
-		}
-		if kind == "patch" {
-			c.WitnessKept, c.Invalidated = st.witnessKept, st.invalidated
-		}
-		if kind == "query" {
-			c.CleanOnArrive = st.cleanArrival
-		}
-		rep.Cases = append(rep.Cases, c)
-	}
-	rep.Cases = append(rep.Cases, benchCase{
-		Name:         "replay/throughput",
-		Workload:     "all events, wall clock",
-		Count:        len(st.samples),
-		EventsPerSec: float64(len(st.samples)) / elapsed.Seconds(),
-	})
-	st.mu.Unlock()
-
-	if benchOut != "" {
-		gated, err := parseBenchOut(benchOut)
-		if err != nil {
-			return err
-		}
-		rep.Cases = append(rep.Cases, gated...)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// parseBenchOut turns `go test -bench -benchmem` result lines into gated
-// cases: "BenchmarkSessionHotPath/patch_witness_kept-8  1000  3863 ns/op
-// 2024 B/op  22 allocs/op" becomes a case named
-// "SessionHotPath/patch_witness_kept" with ns and allocs figures.
-func parseBenchOut(path string) ([]benchCase, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var cases []benchCase
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			name = name[:i]
-		}
-		c := benchCase{Name: name, Workload: "go test -bench figure (gated by scripts/benchgate.go)"}
-		for i, tok := range fields {
-			var err error
-			switch tok {
-			case "ns/op":
-				c.NsPerOp, err = strconv.ParseFloat(fields[i-1], 64)
-			case "allocs/op":
-				var allocs float64
-				if allocs, err = strconv.ParseFloat(fields[i-1], 64); err == nil {
-					c.AllocsPerOp = &allocs
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s: bad bench line %q: %w", path, line, err)
-			}
-		}
-		if c.NsPerOp > 0 {
-			cases = append(cases, c)
-		}
-	}
-	if len(cases) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark result lines found", path)
-	}
-	return cases, nil
-}
-
-// cpuModel matches the cpu: header `go test -bench` prints; best-effort
-// outside Linux.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			if _, val, ok := strings.Cut(name, ":"); ok {
-				return strings.TrimSpace(val)
-			}
-		}
-	}
-	return runtime.GOARCH
 }

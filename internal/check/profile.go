@@ -22,11 +22,10 @@ type PortfolioCase struct {
 // PortfolioProfile builds the message-bound portfolio profile, one case per
 // registered algorithm: a dense random graph at n=96 (p=0.15, ~9x the
 // connectivity threshold) where traffic, not diameter, dominates. It is
-// the one definition both the root BenchmarkPortfolio and `mwcbench
-// -portfolio -json` (which produced the committed
-// bench/portfolio_baseline.json) run. The seeds are fixed, so rounds/op
-// and messages/op are deterministic and scripts/benchgate.go gates them
-// exactly.
+// the one definition the root BenchmarkPortfolio runs, and its figures are
+// the committed bench/portfolio_baseline.json. The seeds are fixed, so
+// rounds/op and messages/op are deterministic and scripts/benchgate.go
+// gates them exactly.
 func PortfolioProfile() ([]PortfolioCase, error) {
 	var cases []PortfolioCase
 	for _, a := range congestmwc.Portfolio() {

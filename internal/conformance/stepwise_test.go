@@ -160,8 +160,8 @@ func TestStepwiseEquivalence(t *testing.T) {
 // equal AlgorithmNames(): check.Run's default set (which is also mwcfuzz's
 // -algos default, asserted in cmd/mwcfuzz), the conformance matrix (each
 // algorithm with every class it serves, plus girth-prt), the bench profile
-// behind BenchmarkPortfolio and `mwcbench -portfolio`, and the case names
-// of the committed bench/portfolio_baseline.json.
+// behind BenchmarkPortfolio, and the case names of the committed
+// bench/portfolio_baseline.json.
 func TestCoverageDerivedFromRegistry(t *testing.T) {
 	sets := map[string][]string{}
 	triangle := check.Instance{Class: congestmwc.Undirected, N: 3, Edges: []congestmwc.Edge{

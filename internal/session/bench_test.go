@@ -12,7 +12,7 @@ import (
 // on when mutations stay off the witness cycle: absorbing a PATCH without
 // scheduling a recompute, and answering a query from the clean cached
 // result. Both must stay simulation-free — the committed figures live in
-// bench/replay_baseline.json and are gated by scripts/benchgate.go.
+// bench/session_hotpath.json and are gated by scripts/benchgate.go.
 func BenchmarkSessionHotPath(b *testing.B) {
 	svc := jobs.New(jobs.Config{Workers: 2, QueueCap: 64, DefaultTimeout: time.Minute})
 	m, err := NewManager(Config{Jobs: svc})

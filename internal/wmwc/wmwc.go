@@ -39,6 +39,7 @@ package wmwc
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"congestmwc/internal/congest"
 	"congestmwc/internal/cyclewit"
@@ -338,7 +339,7 @@ func shortCycles(net *congest.Network, spec Spec, h int, factor, subEps float64,
 		var scaled int64
 		var found bool
 		var cycle []int
-		net.BeginPhase(fmt.Sprintf("level-%d", level))
+		net.BeginPhase("level-" + strconv.Itoa(level))
 		if g.Directed() {
 			res, err := dirmwc.Run(net, dirmwc.Spec{
 				Bound: hstar, Length: length, SampleFactor: factor,

@@ -1,16 +1,29 @@
 // Command benchgate compares a `go test -bench ... -benchmem` run against a
 // committed baseline under bench/ and fails on regressions: more than
-// -tolerance (default 20%) on ns/op, or ANY increase in allocs/op — the
+// -tolerance (default 20%) on ns/op, ANY increase in allocs/op — the
 // zero-allocation discipline of the transport hot path is a hard invariant,
-// not a budget (see docs/OBSERVABILITY.md).
+// not a budget (see docs/OBSERVABILITY.md) — or any change in the
+// deterministic rounds/op and messages/op model costs. It is the only
+// reader of `go test -bench` output in the repository and the only code
+// that knows the bench/ schema.
 //
 // Benchmark output is read from stdin (or -input); baselines are the JSON
 // snapshots committed under bench/. A baseline case named "wmwc_msgbound"
 // matches the benchmark result "BenchmarkCSRHotPath/wmwc_msgbound-8":
 // the Benchmark prefix and -GOMAXPROCS suffix are stripped and the last
-// path segments are compared. Baseline cases with no ns figure, or with no
-// matching result in the run, are skipped with a note — a baseline file may
-// cover more benchmarks than one invocation runs.
+// path segments are compared. Baseline cases with no matching result in the
+// run are skipped with a note — a baseline file may cover more benchmarks
+// than one invocation runs. Every committed case carries at least one
+// gated figure (ns_per_op or allocs_per_op); benchgate_test.go checks that.
+//
+// Re-recording a baseline is done by hand, not by a flag: run the file's
+// environment.command several times, pipe each run through benchgate, and
+// copy the figures it prints into the file. ns_per_op is the median of the
+// runs; allocs_per_op is the highest of at least nine runs, and may only
+// move down unless the change that raises it says why; rounds_per_op and
+// messages_per_op are identical in every run and change only with the
+// algorithm. Update the file's recorded date and purpose text to say what
+// was re-recorded and why.
 //
 // Usage:
 //
@@ -36,12 +49,9 @@ type baselineFile struct {
 }
 
 type baselineCase struct {
-	Name string `json:"name"`
-	// NsPerOp is the gated wall-time figure. EventNsPerOp is the name the
-	// pre-existing stretched_idle.json snapshot uses for the same quantity.
-	NsPerOp      float64  `json:"ns_per_op"`
-	EventNsPerOp float64  `json:"event_ns_per_op"`
-	AllocsPerOp  *float64 `json:"allocs_per_op"`
+	Name        string   `json:"name"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	AllocsPerOp *float64 `json:"allocs_per_op"`
 	// RoundsPerOp and MessagesPerOp are CONGEST model costs: deterministic
 	// given the benchmark's fixed seeds, so when the run reports the
 	// matching rounds/op / messages/op metrics they are gated EXACTLY —
@@ -50,11 +60,11 @@ type baselineCase struct {
 	MessagesPerOp float64 `json:"messages_per_op"`
 }
 
-func (c baselineCase) ns() float64 {
-	if c.NsPerOp > 0 {
-		return c.NsPerOp
-	}
-	return c.EventNsPerOp
+// gated reports whether the case carries a figure benchgate checks on
+// every matching result; rounds and messages are checked only when the
+// run reports them.
+func (c baselineCase) gated() bool {
+	return c.NsPerOp > 0 || c.AllocsPerOp != nil
 }
 
 // result is one parsed benchmark output line.
@@ -125,13 +135,13 @@ func main() {
 		input     = flag.String("input", "", "benchmark output file (default stdin)")
 	)
 	flag.Parse()
-	if err := run(*baselines, *tolerance, *input); err != nil {
+	if err := run(os.Stdout, *baselines, *tolerance, *input); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(baselines string, tolerance float64, input string) error {
+func run(out io.Writer, baselines string, tolerance float64, input string) error {
 	if baselines == "" {
 		return fmt.Errorf("-baseline is required")
 	}
@@ -164,18 +174,17 @@ func run(baselines string, tolerance float64, input string) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		for _, c := range bf.Cases {
-			base := c.ns()
-			if base <= 0 && c.AllocsPerOp == nil {
-				fmt.Printf("skip  %s/%s: no gated figures\n", bf.Benchmark, c.Name)
+			if !c.gated() {
+				fmt.Fprintf(out, "skip  %s/%s: no gated figures\n", bf.Benchmark, c.Name)
 				continue
 			}
 			r := match(results, c.Name)
 			if r == nil {
-				fmt.Printf("skip  %s/%s: not in this run\n", bf.Benchmark, c.Name)
+				fmt.Fprintf(out, "skip  %s/%s: not in this run\n", bf.Benchmark, c.Name)
 				continue
 			}
 			checked++
-			if base > 0 {
+			if base := c.NsPerOp; base > 0 {
 				ratio := r.ns / base
 				status := "ok   "
 				if ratio > 1+tolerance {
@@ -184,7 +193,7 @@ func run(baselines string, tolerance float64, input string) error {
 						"%s: %.0f ns/op vs baseline %.0f (%.2fx > allowed %.2fx)",
 						r.name, r.ns, base, ratio, 1+tolerance))
 				}
-				fmt.Printf("%s %-40s %12.0f ns/op  baseline %12.0f  (%.2fx)\n",
+				fmt.Fprintf(out, "%s %-40s %12.0f ns/op  baseline %12.0f  (%.2fx)\n",
 					status, r.name, r.ns, base, ratio)
 			}
 			if c.AllocsPerOp != nil {
@@ -195,7 +204,7 @@ func run(baselines string, tolerance float64, input string) error {
 						"%s: %.0f allocs/op vs baseline %.0f (any allocation regression fails)",
 						r.name, r.allocs, *c.AllocsPerOp))
 				}
-				fmt.Printf("%s %-40s %12.0f allocs/op  baseline %12.0f\n",
+				fmt.Fprintf(out, "%s %-40s %12.0f allocs/op  baseline %12.0f\n",
 					aStatus, r.name, r.allocs, *c.AllocsPerOp)
 			}
 			for _, gate := range []struct {
@@ -213,7 +222,7 @@ func run(baselines string, tolerance float64, input string) error {
 						"%s: %.1f %s/op vs baseline %.1f (deterministic model cost must match exactly)",
 						r.name, got, gate.metric, gate.base))
 				}
-				fmt.Printf("%s %-40s %12.1f %s/op  baseline %12.1f\n",
+				fmt.Fprintf(out, "%s %-40s %12.1f %s/op  baseline %12.1f\n",
 					mStatus, r.name, got, gate.metric, gate.base)
 			}
 		}
@@ -224,6 +233,6 @@ func run(baselines string, tolerance float64, input string) error {
 	if len(failures) > 0 {
 		return fmt.Errorf("%d regression(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("benchgate: %d case(s) within tolerance %.0f%%\n", checked, tolerance*100)
+	fmt.Fprintf(out, "benchgate: %d case(s) within tolerance %.0f%%\n", checked, tolerance*100)
 	return nil
 }
