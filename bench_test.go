@@ -465,7 +465,7 @@ func BenchmarkAblationBandwidth(b *testing.B) {
 
 // BenchmarkCSRHotPath measures the per-message cost of the simulator's hot
 // path — graph adjacency, transport delivery, handler dispatch — on the
-// three workload profiles the CSR/zero-alloc data layer targets:
+// workload profiles the CSR/zero-alloc data layer targets:
 //
 //   - wmwc_msgbound: the weighted MWC approximation instance from
 //     bench/stretched_idle.json, where deliveries (not idle rounds)
@@ -475,6 +475,9 @@ func BenchmarkAblationBandwidth(b *testing.B) {
 //     event-driven scheduler's win.
 //   - dense_apsp: exact MWC via all-source BFS on a dense random graph —
 //     maximum adjacency-scan and per-round fan-out pressure.
+//   - girth_saturated: the served unweighted undirected approximation at
+//     n=96, where the sample is all of V and phase 1 is the answer-bounded
+//     all-sources BFS.
 //
 // Run with -benchmem: allocs/op is the number the pooled transport buffers
 // exist to drive down. Baselines live in bench/csr_hotpath.json and are
@@ -534,6 +537,24 @@ func BenchmarkCSRHotPath(b *testing.B) {
 					b.Fatal(err)
 				}
 				res, err := exact.MWC(net, exact.Spec{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res.Rounds, net.Stats().Messages
+			},
+		},
+		{
+			name: "girth_saturated",
+			run: func(b *testing.B, seed int64) (int, int) {
+				g, err := (gen.Random{N: 96, P: 4.0 / 96, Seed: 5}).Graph()
+				if err != nil {
+					b.Fatal(err)
+				}
+				net, err := congest.NewNetwork(g, congest.Options{Seed: seed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := girth.Run(net, girth.Spec{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -70,15 +70,21 @@ func TestTransportRoundZeroAlloc(t *testing.T) {
 
 // BenchmarkTransportRound measures the per-round cost of the transport and
 // engine machinery alone (trivial handlers, constant traffic). Run with
-// -benchmem: allocs/op must be 0.
+// -benchmem: allocs/op must be 0. rounds/op and messages/op are the model
+// cost of one steady-state round.
 func BenchmarkTransportRound(b *testing.B) {
 	net := newPingPongNet(b, 64, Options{Seed: 1})
 	for i := 0; i < 64; i++ {
 		net.runRound(net.now + 1)
 	}
 	b.ReportAllocs()
+	before := net.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.runRound(net.now + 1)
 	}
+	b.StopTimer()
+	after := net.Stats()
+	b.ReportMetric(float64(after.Rounds-before.Rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(after.Messages-before.Messages)/float64(b.N), "messages/op")
 }

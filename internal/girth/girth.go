@@ -29,7 +29,9 @@
 // At small n (up to about 260 at the default constant) the sample W is all
 // of V. Step 1 is then a BFS from every vertex, which finds the lightest
 // cycle exactly, so by default Run skips steps 2-3 (Spec.PaperSchedule
-// runs them).
+// runs them). With unit lengths that BFS is also answer-bounded: a node
+// stops forwarding a wave at distance d once it has seen a closed walk of
+// weight at most 2d (proto.MultiBFSSpec.AnswerBound).
 package girth
 
 import (
@@ -124,10 +126,16 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 	// The BFS hands each node its neighbours' rows; the paper schedule
 	// exchanges them in a second step instead. The rows differ only where
 	// d(w,y) + len(x,y) > boundW, a candidate above Bound either way.
+	// W = V is global knowledge (shared randomness), so testing it costs no
+	// rounds. The all-sources BFS with unit lengths then bounds itself by
+	// the answer: a node stops forwarding a wave once it has seen a closed
+	// walk of at most twice the wave's distance, which leaves every
+	// candidate the minimum needs (DESIGN.md §3).
+	phase1Exact := len(w) == n && !spec.PaperSchedule
 	net.BeginPhase("girth:sampled-bfs")
 	resW, err := proto.RunMultiBFS(net, proto.MultiBFSSpec{
-		Sources: w, Dir: proto.Undirected, Bound: boundW, Length: length, Stretch: true,
-		Rows: !spec.PaperSchedule,
+		Sources: w, Dir: proto.Undirected, Bound: boundW, Length: spec.Length, Stretch: true,
+		Rows: !spec.PaperSchedule, AnswerBound: phase1Exact && spec.Length == nil,
 	})
 	if err == nil && spec.PaperSchedule {
 		resW.Rows, err = proto.ExchangeDistPred(net, resW, tagListEntry, nil)
@@ -140,11 +148,10 @@ func Run(net *congest.Network, spec Spec) (*Result, error) {
 		wits[x] = witnessInfo{res: resW, src: wi, srcV: w[wi], x: x, y: y, z: -1}
 	})
 
-	// W = V is global knowledge (shared randomness), so testing it costs no
-	// rounds. Phase 1 is then a BFS from every vertex, which already finds
+	// With W = V, phase 1 is a BFS from every vertex, which already finds
 	// the lightest cycle exactly; phases 2-3 cannot lower the minimum and
 	// are skipped.
-	if len(w) < n || spec.PaperSchedule {
+	if !phase1Exact {
 		if err := neighbourhoodCandidates(net, sigma, spec.Bound, length, best, wits); err != nil {
 			return nil, err
 		}

@@ -66,6 +66,17 @@ type MultiBFSSpec struct {
 	// undirected graphs, where both orientations of an edge have the same
 	// length, and without TopSigma.
 	Rows bool
+	// AnswerBound, with Rows and unit lengths (Length nil), lets each node
+	// stop forwarding a field once the pair cannot lower the lightest cycle
+	// the run's non-tree scan reports. Node v keeps U_v, the lightest closed
+	// walk it has seen: a row (f, d_y+1, pred_y) from y while v holds
+	// dist[f] < Inf, pred[f] != y and pred_y != v closes the walk of weight
+	// dist[f] + d_y + 1, which uses the edge (v,y) once and so contains a
+	// cycle. v then drops a pair (f, d) with 2d >= U_v instead of
+	// forwarding it. Distances, predecessors and rows above half the
+	// minimum cycle weight may stay incomplete; DESIGN.md §3 (girth) argues
+	// that the scan still finds the minimum when every vertex is a source.
+	AnswerBound bool
 }
 
 // MultiBFSResult holds per-node distance fields.
@@ -181,6 +192,9 @@ type bfsNode struct {
 	dist  []int64
 	pred  []int32
 	dirty pairHeap
+	// bound is U_v of an AnswerBound run: the lightest closed walk through
+	// a non-tree edge at v seen so far (seq.Inf until one closes).
+	bound int64
 	// arcs are the node's traversal arcs for spec.Dir and out their
 	// lengths and queues, resolved once at Init: spec.Length is pure, and
 	// on the scaled graphs of Section 5 it costs a math.Pow per call.
@@ -265,6 +279,11 @@ func (b *bfsNode) Deliver(nd *congest.Node, d congest.Delivery) {
 		return
 	}
 	field := int32(d.Msg.Words[0])
+	if b.spec.AnswerBound {
+		if df := b.dist[field]; df < seq.Inf && b.pred[field] != int32(d.From) && d.Msg.Words[2] != int64(b.v) {
+			b.bound = min(b.bound, df+d.Msg.Words[1])
+		}
+	}
 	b.record(field, d.Msg.Words[1], int32(d.From))
 	if r := b.spec.rows; r != nil {
 		// The sender's distance is the value minus the edge's length; arcs
@@ -307,6 +326,9 @@ func (b *bfsNode) Tick(nd *congest.Node) {
 		}
 		if b.spec.TopSigma > 0 && b.rank(it.dist, it.field) >= b.spec.TopSigma {
 			continue // beyond the sigma nearest: do not forward
+		}
+		if b.spec.AnswerBound && 2*it.dist >= b.bound {
+			continue // cannot lower the lightest cycle: do not forward
 		}
 		for i, a := range b.arcs {
 			length := b.out[i].length
@@ -419,6 +441,9 @@ func RunMultiBFS(net *congest.Network, spec MultiBFSSpec) (*MultiBFSResult, erro
 	if spec.Rows && (net.Graph().Directed() || spec.TopSigma > 0) {
 		return nil, fmt.Errorf("proto: neighbour rows need an undirected graph and no TopSigma")
 	}
+	if spec.AnswerBound && (!spec.Rows || spec.Length != nil) {
+		return nil, fmt.Errorf("proto: the answer bound needs neighbour rows and unit lengths")
+	}
 	res := &MultiBFSResult{
 		Dist: make([][]int64, n),
 		Pred: make([][]int32, n),
@@ -440,7 +465,7 @@ func RunMultiBFS(net *congest.Network, spec MultiBFSSpec) (*MultiBFSResult, erro
 	for v := range nodes {
 		res.Dist[v] = dists[v*k : (v+1)*k : (v+1)*k]
 		res.Pred[v] = preds[v*k : (v+1)*k : (v+1)*k]
-		nodes[v] = bfsNode{v: v, spec: run, dist: res.Dist[v], pred: res.Pred[v]}
+		nodes[v] = bfsNode{v: v, spec: run, dist: res.Dist[v], pred: res.Pred[v], bound: seq.Inf}
 		progs[v] = &nodes[v]
 	}
 	rounds, err := net.Run(progs, 0)

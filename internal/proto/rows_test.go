@@ -9,6 +9,7 @@ import (
 	"congestmwc/internal/congest"
 	"congestmwc/internal/gen"
 	"congestmwc/internal/graph"
+	"congestmwc/internal/seq"
 )
 
 // rowsNet builds a network on the given engine and bandwidth.
@@ -291,5 +292,69 @@ func TestFusedRowsRejectUnsupported(t *testing.T) {
 	}
 	if _, err := HopDist(newNet(t, d), HopDistSpec{Sources: []int{0}, Dir: Undirected, Rows: true}); err == nil {
 		t.Error("HopDist returned rows on a directed graph")
+	}
+}
+
+// TestAnswerBoundKeepsShortDistances: an answer-bounded all-sources run
+// keeps every distance below half the girth exact, its non-tree scan
+// still finds the girth, it sends no more than the unbounded run, and it
+// needs rows and unit lengths.
+func TestAnswerBoundKeepsShortDistances(t *testing.T) {
+	graphs := []*graph.Graph{gen.Ring(9, false, false, 1), gen.Ring(12, false, false, 1), gen.Grid(5, 6, false, 0, 0)}
+	for seed := int64(1); seed <= 4; seed++ {
+		g, err := (gen.Random{N: 40, P: 0.1, Seed: seed}).Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for i, g := range graphs {
+		n := g.N()
+		girth, _ := seq.MWC(g)
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		for _, parallel := range []bool{false, true} {
+			name := fmt.Sprintf("graph %d/parallel=%v", i, parallel)
+			run := func(bound bool) (*MultiBFSResult, int) {
+				net := rowsNet(t, g, parallel, 0)
+				res, err := RunMultiBFS(net, MultiBFSSpec{Sources: all, Rows: true, AnswerBound: bound})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, net.Stats().Messages
+			}
+			res, msgs := run(true)
+			_, full := run(false)
+			if msgs > full {
+				t.Errorf("%s: bounded run sent %d messages, unbounded %d", name, msgs, full)
+			}
+			for f := 0; f < n; f++ {
+				exact := seq.BFS(g, f)
+				for v := 0; v < n; v++ {
+					if 2*exact[v] < girth && res.Dist[v][f] != exact[v] {
+						t.Errorf("%s: d(%d,%d) = %d, want %d below half the girth %d",
+							name, f, v, res.Dist[v][f], exact[v], girth)
+					}
+				}
+			}
+			best := make([]int64, n)
+			for v := range best {
+				best[v] = seq.Inf
+			}
+			NonTreeScan{Res: res, Recv: res.Rows}.Scan(g, best, func(int, int, int) {})
+			if got := slices.Min(best); got != girth {
+				t.Errorf("%s: scan found %d, girth %d", name, got, girth)
+			}
+		}
+	}
+	ring := gen.Ring(6, false, false, 1)
+	if _, err := RunMultiBFS(newNet(t, ring), MultiBFSSpec{Sources: []int{0}, AnswerBound: true}); err == nil {
+		t.Error("RunMultiBFS bounded a run without rows")
+	}
+	unit := func(graph.Arc) int64 { return 1 }
+	if _, err := RunMultiBFS(newNet(t, ring), MultiBFSSpec{Sources: []int{0}, Rows: true, Length: unit, AnswerBound: true}); err == nil {
+		t.Error("RunMultiBFS bounded a run with arc lengths")
 	}
 }

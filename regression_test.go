@@ -41,7 +41,7 @@ func TestRoundCountRegression(t *testing.T) {
 		approxRounds, exactRounds int
 		approxWeight, exactWeight int64
 	}{
-		{class: Undirected, approxRounds: 59, approxWeight: 3, exactRounds: 59, exactWeight: 3},
+		{class: Undirected, approxRounds: 23, approxWeight: 3, exactRounds: 59, exactWeight: 3},
 		{class: Directed, approxRounds: 60, approxWeight: 2, exactRounds: 60, exactWeight: 2},
 		{class: UndirectedWeighted, approxRounds: 11003, approxWeight: 8, exactRounds: 61, exactWeight: 8},
 		{class: DirectedWeighted, approxRounds: 15537, approxWeight: 3, exactRounds: 61, exactWeight: 3},

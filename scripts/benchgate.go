@@ -11,7 +11,10 @@
 // snapshots committed under bench/. A baseline case named "wmwc_msgbound"
 // matches the benchmark result "BenchmarkCSRHotPath/wmwc_msgbound-8":
 // the Benchmark prefix and -GOMAXPROCS suffix are stripped and the last
-// path segments are compared. Baseline cases with no matching result in the
+// path segments are compared. Every repetition of a `-count N` run is
+// gated: rounds, messages and allocs on each result line, ns/op on the
+// median of the lines. A figure the baseline gates but a result line does
+// not report fails the case. Baseline cases with no matching result in the
 // run are skipped with a note — a baseline file may cover more benchmarks
 // than one invocation runs. Every committed case carries at least one
 // gated figure (ns_per_op or allocs_per_op); benchgate_test.go checks that.
@@ -39,6 +42,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -53,26 +57,25 @@ type baselineCase struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	AllocsPerOp *float64 `json:"allocs_per_op"`
 	// RoundsPerOp and MessagesPerOp are CONGEST model costs: deterministic
-	// given the benchmark's fixed seeds, so when the run reports the
-	// matching rounds/op / messages/op metrics they are gated EXACTLY —
-	// any drift means the algorithm's communication behaviour changed.
+	// given the benchmark's fixed seeds, so when positive they are gated
+	// EXACTLY on the rounds/op / messages/op metrics every repetition must
+	// report — any drift means the algorithm's communication behaviour
+	// changed.
 	RoundsPerOp   float64 `json:"rounds_per_op"`
 	MessagesPerOp float64 `json:"messages_per_op"`
 }
 
-// gated reports whether the case carries a figure benchgate checks on
-// every matching result; rounds and messages are checked only when the
-// run reports them.
+// gated reports whether the case carries a wall-clock or allocation figure
+// benchgate checks on every matching result, besides the model costs.
 func (c baselineCase) gated() bool {
 	return c.NsPerOp > 0 || c.AllocsPerOp != nil
 }
 
 // result is one parsed benchmark output line.
 type result struct {
-	name   string // normalized: no Benchmark prefix, no -P suffix
-	ns     float64
-	allocs float64
-	has    map[string]float64 // other per-op metrics (B, messages, rounds)
+	name string // normalized: no Benchmark prefix, no -P suffix
+	ns   float64
+	has  map[string]float64 // other per-op metrics (allocs, B, messages, rounds)
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(.*)$`)
@@ -98,7 +101,6 @@ func parseResults(r io.Reader) ([]result, error) {
 			}
 			res.has[mm[2]] = v
 		}
-		res.allocs = res.has["allocs"]
 		out = append(out, res)
 	}
 	return out, sc.Err()
@@ -116,16 +118,58 @@ func normalize(name string) string {
 	return name
 }
 
-// match finds the result for a baseline case: exact normalized name, or a
-// result whose trailing path segments equal the case name.
-func match(results []result, caseName string) *result {
-	for i := range results {
-		r := &results[i]
-		if r.name == caseName || strings.HasSuffix(r.name, "/"+caseName) {
-			return r
+// match finds the results for a baseline case: the first result whose
+// normalized name equals the case name or ends in it as whole path
+// segments, and every later repetition of that same benchmark.
+func match(results []result, caseName string) []result {
+	var out []result
+	for _, r := range results {
+		if len(out) > 0 {
+			if r.name == out[0].name {
+				out = append(out, r)
+			}
+		} else if r.name == caseName || strings.HasSuffix(r.name, "/"+caseName) {
+			out = append(out, r)
 		}
 	}
-	return nil
+	return out
+}
+
+// gate is one per-repetition figure of a baseline case.
+type gate struct {
+	metric string  // per-op unit: rounds, messages or allocs
+	base   float64 // the baseline figure
+	exact  bool    // a model cost that must match; otherwise it must not rise
+}
+
+// check returns why a repetition's figure fails the gate, or "".
+func (g gate) check(got float64, reported bool) string {
+	switch {
+	case !reported:
+		return fmt.Sprintf("no %s/op reported; the baseline gates %.1f", g.metric, g.base)
+	case g.exact && got != g.base:
+		return fmt.Sprintf("%.1f %s/op vs baseline %.1f (deterministic model cost must match exactly)",
+			got, g.metric, g.base)
+	case !g.exact && got > g.base:
+		return fmt.Sprintf("%.0f %s/op vs baseline %.0f (any allocation regression fails)",
+			got, g.metric, g.base)
+	}
+	return ""
+}
+
+// medianNs is the median ns/op of the repetitions (the mean of the middle
+// two for an even count).
+func medianNs(rs []result) float64 {
+	ns := make([]float64, len(rs))
+	for i, r := range rs {
+		ns[i] = r.ns
+	}
+	sort.Float64s(ns)
+	m := len(ns) / 2
+	if len(ns)%2 == 0 {
+		return (ns[m-1] + ns[m]) / 2
+	}
+	return ns[m]
 }
 
 func main() {
@@ -178,52 +222,44 @@ func run(out io.Writer, baselines string, tolerance float64, input string) error
 				fmt.Fprintf(out, "skip  %s/%s: no gated figures\n", bf.Benchmark, c.Name)
 				continue
 			}
-			r := match(results, c.Name)
-			if r == nil {
+			rs := match(results, c.Name)
+			if len(rs) == 0 {
 				fmt.Fprintf(out, "skip  %s/%s: not in this run\n", bf.Benchmark, c.Name)
 				continue
 			}
 			checked++
+			name := rs[0].name
 			if base := c.NsPerOp; base > 0 {
-				ratio := r.ns / base
+				ns := medianNs(rs)
+				ratio := ns / base
 				status := "ok   "
 				if ratio > 1+tolerance {
 					status = "FAIL "
 					failures = append(failures, fmt.Sprintf(
-						"%s: %.0f ns/op vs baseline %.0f (%.2fx > allowed %.2fx)",
-						r.name, r.ns, base, ratio, 1+tolerance))
+						"%s: %.0f ns/op vs baseline %.0f (%.2fx > allowed %.2fx, median of %d)",
+						name, ns, base, ratio, 1+tolerance, len(rs)))
 				}
-				fmt.Fprintf(out, "%s %-40s %12.0f ns/op  baseline %12.0f  (%.2fx)\n",
-					status, r.name, r.ns, base, ratio)
+				fmt.Fprintf(out, "%s %-40s %12.0f ns/op  baseline %12.0f  (%.2fx, median of %d)\n",
+					status, name, ns, base, ratio, len(rs))
 			}
+			gates := []gate{{"rounds", c.RoundsPerOp, true}, {"messages", c.MessagesPerOp, true}}
 			if c.AllocsPerOp != nil {
-				aStatus := "ok   "
-				if r.allocs > *c.AllocsPerOp {
-					aStatus = "FAIL "
-					failures = append(failures, fmt.Sprintf(
-						"%s: %.0f allocs/op vs baseline %.0f (any allocation regression fails)",
-						r.name, r.allocs, *c.AllocsPerOp))
-				}
-				fmt.Fprintf(out, "%s %-40s %12.0f allocs/op  baseline %12.0f\n",
-					aStatus, r.name, r.allocs, *c.AllocsPerOp)
+				gates = append(gates, gate{"allocs", *c.AllocsPerOp, false})
 			}
-			for _, gate := range []struct {
-				metric string
-				base   float64
-			}{{"rounds", c.RoundsPerOp}, {"messages", c.MessagesPerOp}} {
-				got, reported := r.has[gate.metric]
-				if gate.base <= 0 || !reported {
+			for _, g := range gates {
+				if g.exact && g.base <= 0 {
 					continue
 				}
-				mStatus := "ok   "
-				if got != gate.base {
-					mStatus = "FAIL "
-					failures = append(failures, fmt.Sprintf(
-						"%s: %.1f %s/op vs baseline %.1f (deterministic model cost must match exactly)",
-						r.name, got, gate.metric, gate.base))
+				for i, r := range rs {
+					got, reported := r.has[g.metric]
+					status := "ok   "
+					if fail := g.check(got, reported); fail != "" {
+						status = "FAIL "
+						failures = append(failures, fmt.Sprintf("%s: repetition %d: %s", name, i+1, fail))
+					}
+					fmt.Fprintf(out, "%s %-40s %12.1f %s/op  baseline %12.1f  (repetition %d)\n",
+						status, name, got, g.metric, g.base, i+1)
 				}
-				fmt.Fprintf(out, "%s %-40s %12.1f %s/op  baseline %12.1f\n",
-					mStatus, r.name, got, gate.metric, gate.base)
 			}
 		}
 	}

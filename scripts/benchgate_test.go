@@ -57,12 +57,48 @@ func TestRun(t *testing.T) {
 		},
 		{
 			name:  "ns at the tolerance passes",
-			input: "BenchmarkFixture/hot/msgbound-8   3   1200 ns/op   10 allocs/op\n",
+			input: "BenchmarkFixture/hot/msgbound-8   3   1200 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n",
 		},
 		{
 			name:    "ns over the tolerance fails",
-			input:   "BenchmarkFixture/hot/msgbound-8   3   1201 ns/op   10 allocs/op\n",
+			input:   "BenchmarkFixture/hot/msgbound-8   3   1201 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n",
 			wantErr: "1201 ns/op vs baseline 1000",
+		},
+		{
+			name: "every repetition's allocs are gated",
+			input: "BenchmarkFixture/hot/msgbound-8   3   1000 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n" +
+				"BenchmarkFixture/hot/msgbound-8   3   1000 ns/op   315 messages/op   22 rounds/op   9999 allocs/op\n" +
+				"BenchmarkFixture/hot/msgbound-8   3   1000 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n",
+			wantErr: "repetition 2: 9999 allocs/op vs baseline 10",
+		},
+		{
+			name: "every repetition's model cost is gated",
+			input: "BenchmarkFixture/hot/msgbound-8   3   1000 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n" +
+				"BenchmarkFixture/hot/msgbound-8   3   1000 ns/op   315 messages/op   23 rounds/op   10 allocs/op\n",
+			wantErr: "repetition 2: 23.0 rounds/op vs baseline 22.0",
+		},
+		{
+			name: "ns gated on the median of the repetitions",
+			input: "BenchmarkFixture/hot/msgbound-8   3   5000 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n" +
+				"BenchmarkFixture/hot/msgbound-8   3   1100 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n" +
+				"BenchmarkFixture/hot/msgbound-8   3   900 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n",
+		},
+		{
+			name: "a median over the tolerance fails",
+			input: "BenchmarkFixture/hot/msgbound-8   3   1300 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n" +
+				"BenchmarkFixture/hot/msgbound-8   3   900 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n" +
+				"BenchmarkFixture/hot/msgbound-8   3   1250 ns/op   315 messages/op   22 rounds/op   10 allocs/op\n",
+			wantErr: "1250 ns/op vs baseline 1000",
+		},
+		{
+			name:    "a gated model cost the run does not report fails",
+			input:   "BenchmarkFixture/hot/msgbound-8   3   1000 ns/op   315 messages/op   10 allocs/op\n",
+			wantErr: "no rounds/op reported; the baseline gates 22.0",
+		},
+		{
+			name:    "gated allocs the run does not report fail",
+			input:   "BenchmarkRound-8   2000   150 ns/op\n",
+			wantErr: "no allocs/op reported; the baseline gates 0.0",
 		},
 		{
 			name:    "a suffix that is not whole path segments does not match",
